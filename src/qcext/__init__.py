@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     DomainError,
     GroupTableError,
+    InvariantError,
     MixedContextError,
     NotGeodesicError,
     NotSeparatingError,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -408,12 +407,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = time.monotonic()
-    threads = os.environ.get("QCEXT_THREADS", "1")
     envelope = {
         "command": args.command,
         "seed": args.seed,
         "version": __version__,
-        "environment": {"threads": threads, "execution": "serial"},
+        "environment": {"execution": "serial"},
     }
 
     try:
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
         _emit(envelope, args.out)
         sys.stderr.write(f"budget exhausted: {e}\n")
         return EXIT_BUDGET
-    except (QcextError, AssertionError) as e:
+    except QcextError as e:
         sys.stderr.write(f"check failed: {e}\n")
         return EXIT_CHECK_FAILED
 

@@ -437,7 +437,9 @@ class FreeRelCyclicSpec:
         return self.power_of(g) is not None
 
     def subgroup_element(self, k: int) -> FreeWord:
-        return self.w**k
+        # w is cyclically reduced, so w^k is |k| copies of w or w^-1.
+        base = self.w if k >= 0 else self._w_inv
+        return FreeWord(self.group, base.letters * abs(k))
 
     def subgroup_letter(self, lam: str, h: FreeWord) -> HLetter:
         k = self.power_of(h)
@@ -490,7 +492,16 @@ class FreeRelCyclicSpec:
         start = self.group.identity()
         dist = {start: 0}
         queue = deque([start])
-        powers = [k for k in range(-budget.max_power, budget.max_power + 1) if k]
+        xmoves = [
+            FreeWord(self.group, (code,))
+            for i in range(1, len(self.group.gens) + 1)
+            for code in (i, -i)
+        ]
+        hmoves = [
+            self.subgroup_element(k)
+            for k in range(-budget.max_power, budget.max_power + 1)
+            if k
+        ]
         while queue:
             v = queue.popleft()
             d = dist[v]
@@ -498,13 +509,9 @@ class FreeRelCyclicSpec:
                 return RelativeDistance(FINITE, d, exact=False, note="capped search")
             if d >= budget.max_depth:
                 continue
-            succs = []
-            for i in range(1, len(self.group.gens) + 1):
-                for code in (i, -i):
-                    succs.append(v * FreeWord(self.group, (code,)))
+            succs = [v * m for m in xmoves]
             if self.power_of(v) is None:
-                for k in powers:
-                    succs.append(v * self.subgroup_element(k))
+                succs.extend(v * h for h in hmoves)
             for u in succs:
                 if len(u.letters) > cap_len or u in dist:
                     continue
@@ -532,9 +539,10 @@ class FreeRelCyclicSpec:
             return RelBall(tuple(self.subgroup_element(k) for k in ks), complete=True)
         elems = []
         for k in range(-budget.max_power, budget.max_power + 1):
-            d = self.rel_distance(self.identity(), self.subgroup_element(k), budget=budget)
+            h = self.subgroup_element(k)
+            d = self.rel_distance(self.identity(), h, budget=budget)
             if d.status == FINITE and inside(Fraction(d.value)):
-                elems.append(self.subgroup_element(k))
+                elems.append(h)
         # The scan is power-capped and capped searches only give upper
         # bounds, so completeness cannot be claimed for the generic family.
         return RelBall(tuple(elems), complete=False,

@@ -53,5 +53,9 @@ class CertificateError(QcextError):
     """A certified bound is violated by a concrete evaluation."""
 
 
+class InvariantError(QcextError):
+    """An internal invariant failed; kept as a raise so `python -O` keeps it."""
+
+
 class ConfigError(QcextError):
     """A CLI or file configuration is malformed."""

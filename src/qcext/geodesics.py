@@ -27,14 +27,19 @@ from .groups import FreeGroup, FreeWord
 
 
 class CayleyPath:
-    """Edge path: origin vertex plus a tuple of letters, applied rightward."""
+    """Edge path: origin vertex plus a tuple of letters, applied rightward.
+
+    `verts`, when given, must be the vertex tuple the letters trace from the
+    origin; engines whose geodesics share their vertices pass one tuple to
+    every path instead of letting each rebuild it.
+    """
 
     __slots__ = ("origin", "letters", "_verts")
 
-    def __init__(self, origin, letters: Sequence = ()):
+    def __init__(self, origin, letters: Sequence = (), verts: tuple | None = None):
         self.origin = origin
         self.letters = tuple(letters)
-        self._verts = None
+        self._verts = verts
 
     @property
     def length(self) -> int:
@@ -144,14 +149,20 @@ def _basis_geodesics(spec, f, g, budget: SearchBudget) -> GeodesicSet:
     u = f.inverse() * g
     blocks = _basis_blocks(spec, u)
     # Every geodesic passes through the block boundary vertices; between
-    # consecutive boundaries there is exactly one edge per listed choice.
+    # consecutive boundaries there is exactly one edge per listed choice,
+    # and all choices of a block have the same element.  So every path
+    # shares one vertex tuple.
+    verts = [f]
+    for choices in blocks:
+        verts.append(verts[-1] * choices[0].elem)
+    verts = tuple(verts)
     paths: list[CayleyPath] = []
     truncated = False
 
     def rec(i: int, acc: list) -> bool:
         nonlocal truncated
         if i == len(blocks):
-            paths.append(CayleyPath(f, tuple(acc)))
+            paths.append(CayleyPath(f, tuple(acc), verts))
             if len(paths) >= budget.max_geodesics:
                 truncated = True
                 return False

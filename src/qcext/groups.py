@@ -123,6 +123,9 @@ class FreeGroup:
     def owns_symbol(self, sym: str) -> bool:
         return sym in self._index
 
+    def symbols(self) -> tuple[str, ...]:
+        return self.gens
+
     def parse_token(self, token: str) -> FreeWord:
         return self.parse(token)
 
@@ -359,6 +362,9 @@ class FiniteTableGroup:
     def owns_symbol(self, sym: str) -> bool:
         return sym in self._name_index and sym != self.names[0]
 
+    def symbols(self) -> tuple[str, ...]:
+        return self.names[1:]
+
     def parse_token(self, token: str) -> FiniteElement:
         sym, k = _parse_token(token)
         return self.element(sym) ** k
@@ -385,8 +391,9 @@ class FreeProduct:
     """Free product of a sequence of factor groups.
 
     Factors may be FreeGroup or FiniteTableGroup instances (anything with the
-    identity/mul/inv/is_identity/owns_symbol/parse_token protocol).  Symbols
-    must not collide across factors, so parsing is unambiguous.
+    identity/mul/inv/is_identity/owns_symbol/symbols/parse_token protocol).
+    Symbols must not collide across factors, so parsing and printing are
+    unambiguous; a collision raises DomainError.
     """
 
     __slots__ = ("factors",)
@@ -395,6 +402,13 @@ class FreeProduct:
         factors = tuple(factors)
         if len(factors) < 1:
             raise DomainError("free product needs at least one factor")
+        owner: dict[str, int] = {}
+        for i, factor in enumerate(factors):
+            for sym in factor.symbols():
+                if owner.setdefault(sym, i) != i:
+                    raise DomainError(
+                        f"symbol {sym!r} is owned by factors {owner[sym]} and {i}"
+                    )
         object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, name, value):
@@ -604,11 +618,6 @@ def is_proper_power(word: FreeWord) -> bool:
         if root.letters == root.letters[:d] * (n // d):
             return True
     return False
-
-
-def word_key(elem) -> str:
-    """Deterministic sort key for elements of any supported group."""
-    return str(elem)
 
 
 def as_fraction(x) -> Fraction:

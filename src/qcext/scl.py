@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .embedding import seeded_rng
-from .errors import CertificateError, DomainError
+from .errors import CertificateError, DomainError, InvariantError
 from .extension import extend, k_constant
 from .groups import (
     FreeGroup,
@@ -206,7 +206,8 @@ def nice_generating_set(group: FreeGroup, gens) -> NiceGeneratingSet:
             if not wd.is_identity():
                 y2.append(wd)
     pivots = [_pivot(rv) for rv, _ in rows]
-    assert len(set(pivots)) == len(pivots), "echelon pivots must be distinct"
+    if len(set(pivots)) != len(pivots):
+        raise InvariantError("echelon pivots must be distinct")
     return NiceGeneratingSet(y1=tuple(rw for _, rw in rows), y2=tuple(y2))
 
 
@@ -374,7 +375,8 @@ def undistortion_pipeline(
     nice = nice_generating_set(factor, y_input)
     phi_adj = adjust_quasimorphism(phi, nice, factor)
     for y in nice.y1:
-        assert phi_adj.scalar_value(y) == 0, "adjusted value must vanish on Y1"
+        if phi_adj.scalar_value(y) != 0:
+            raise InvariantError(f"adjusted value must vanish on Y1, not at {y}")
 
     l_value, l_note = _bilipschitz_l(spec, lam, list(nice.y1) + list(nice.y2), c)
     notes.append(f"L: {l_note}")
@@ -387,7 +389,8 @@ def undistortion_pipeline(
     d_cert = phi_adj.certified_defect
     phi_h = phi.scalar_value(h)
     adj_h = phi_adj.scalar_value(h)
-    assert adj_h == phi_h, "adjustment must not move values on [H,H]"
+    if adj_h != phi_h:
+        raise InvariantError("adjustment must not move values on [H,H]")
     chain.append({"step": "phi(h)", "value": str(phi_h), "provenance": "exact"})
     chain.append({"step": "D(phi') = D(phi)", "value": str(d_cert.value),
                   "provenance": "certified-upper-bound",
@@ -405,7 +408,8 @@ def undistortion_pipeline(
 
     if d_cert.value > 0:
         m_value = Fraction(54) * k_value / d_cert.value + 66
-        assert 54 * k_value + 66 * d_cert.value <= m_value * d_cert.value
+        if 54 * k_value + 66 * d_cert.value > m_value * d_cert.value:
+            raise InvariantError("M must satisfy 54K + 66D <= M*D")
         psi_cert = 2 * m_value * d_cert.value
         chain.append({"step": "M with 54K + 66D <= M*D", "value": str(m_value),
                       "provenance": "exact"})
@@ -504,9 +508,8 @@ def free_dist_experiment(k_list, seed: int = 0) -> dict:
         hk_sub = commutator(a, b) ** -k * commutator(c, d) ** k
         hk_amb = push(hk_sub)
         expr = [(commutator(x, y) ** k, t)]
-        assert hk_amb == commutator(commutator(x, y) ** k, t), (
-            "the bracket identity must reduce literally"
-        )
+        if hk_amb != commutator(commutator(x, y) ** k, t):
+            raise InvariantError("the bracket identity must reduce literally")
         upper = scl_upper(g_group, hk_amb, {1: expr})
         lower_h = bavard_lower(phi, phi.certified_defect, hk_sub)
         ratio = lower_h.lower / upper

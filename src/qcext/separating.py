@@ -7,17 +7,28 @@ entrance u and exit v satisfy d-hat(u, v) > 3C strictly.  Penetrations with
 relative distance in (0, 3C] are excluded but logged, never silently lost.
 
 Separating cosets are ordered by the distance from f, read off as the
-geodesic prefix length at the entrance; distances are asserted strictly
-increasing and the count never exceeds d(f, g).
+geodesic prefix length at the entrance; distances are checked to be strictly
+increasing and the count never exceeds d(f, g) (InvariantError otherwise).
+
+Subgroup membership of an edge is read off its letter: along a path,
+verts[i]^-1 verts[i+1] is the letter's element, so it is tested once per
+distinct letter.  Cosets are keyed by their representative element and
+entrance/exit pairs by (u, v) elements, never by printed strings, and each
+distinct edge asks for its coset representative once per query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .embedding import FINITE, RelativeDistance, _dist_gt
-from .errors import DomainError, NotSeparatingError, PartitionNotFoundError
+from .errors import (
+    DomainError,
+    InvariantError,
+    NotSeparatingError,
+    PartitionNotFoundError,
+)
 from .geodesics import CayleyPath, GeodesicSet, geodesics, path_has_edge_in_coset
 from .groups import as_fraction
 
@@ -156,70 +167,93 @@ def separation_report(
     return out
 
 
+@dataclass(slots=True)
+class _CosetTally:
+    """What the walk over the geodesics learned about one coset."""
+
+    prefix: int  # least edge index at which a geodesic enters the coset
+    pairs: dict = field(default_factory=dict)  # ordered set of (u, v) pairs
+    essential: bool = False
+    conditional: bool = False
+    band: RelativeDistance | None = None
+
+
 def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) -> SeparatingCosets:
     three_c = 3 * c
-    # per coset key: [rep, min prefix, ordered pairs dict, essential, widths]
-    info: dict = {}
-    order: list = []
+    # Along a path verts[i]^-1 verts[i+1] is the letter's element, so
+    # membership is decided once per distinct letter element.  Everything
+    # below depends on the vertices alone, so a path with the same vertex
+    # tuple as the path before it would replay the same updates and is
+    # skipped (the closed-form engine hands one tuple to all its paths).
+    member: dict = {}
+    prev = None
+    # per distinct edge (u, v): its coset rep, and its width once measured
+    rep_of: dict = {}
+    width_of: dict = {}
+    info: dict = {}  # coset rep -> _CosetTally, in first-seen order
     for path in geo.geodesics:
         verts = path.vertices()
+        if verts is prev:
+            continue
+        prev = verts
         for i, letter in enumerate(path.letters):
-            du = verts[i].inverse() * verts[i + 1]
-            if du.is_identity() or not spec.in_subgroup(du, lam):
+            elem = letter.elem
+            inside = member.get(elem)
+            if inside is None:
+                inside = not elem.is_identity() and spec.in_subgroup(elem, lam)
+                member[elem] = inside
+            if not inside:
                 continue
-            rep = spec.coset_rep(verts[i], lam)
-            key = str(rep)
-            if key not in info:
-                info[key] = {
-                    "rep": rep,
-                    "prefix": i,
-                    "pairs": {},
-                    "essential": False,
-                    "conditional": False,
-                    "band": None,
-                }
-                order.append(key)
-            entry = info[key]
-            entry["prefix"] = min(entry["prefix"], i)
             pair = (verts[i], verts[i + 1])
-            pkey = (str(pair[0]), str(pair[1]))
-            if pkey not in entry["pairs"]:
-                entry["pairs"][pkey] = pair
-            if entry["essential"]:
+            rep = rep_of.get(pair)
+            if rep is None:
+                rep = rep_of[pair] = spec.coset_rep(pair[0], lam)
+            tally = info.get(rep)
+            if tally is None:
+                tally = info[rep] = _CosetTally(i)
+            elif i < tally.prefix:
+                tally.prefix = i
+            tally.pairs[pair] = None
+            if tally.essential:
                 continue
             if three_c == 0:
                 # positivity of the relative metric: distinct endpoints
-                entry["essential"] = True
+                tally.essential = True
                 continue
-            shift = rep.inverse()
-            width = spec.rel_distance(shift * verts[i], shift * verts[i + 1], lam,
-                                      budget=budget)
+            width = width_of.get(pair)
+            if width is None:
+                shift = rep.inverse()
+                width = width_of[pair] = spec.rel_distance(
+                    shift * pair[0], shift * pair[1], lam, budget=budget
+                )
             verdict, certain = _dist_gt(width, three_c)
             if verdict:
-                entry["essential"] = True
-                entry["conditional"] = not certain
-            else:
-                if width.status == FINITE and width.value > 0:
-                    entry["band"] = width
+                tally.essential = True
+                tally.conditional = not certain
+            elif width.status == FINITE and width.value > 0:
+                tally.band = width
 
-    cosets, dists, pair_sets = [], [], []
+    cosets = []
     band: list[BandExclusion] = []
     conditional = False
-    for key in order:
-        entry = info[key]
-        coset = Coset(lam, entry["rep"])
-        if entry["essential"]:
-            cosets.append((entry["prefix"], coset, tuple(entry["pairs"].values())))
-            conditional = conditional or entry["conditional"]
-        elif entry["band"] is not None:
-            first = next(iter(entry["pairs"].values()))
-            band.append(BandExclusion(coset, first[0], first[1], entry["band"]))
+    for rep, tally in info.items():
+        coset = Coset(lam, rep)
+        if tally.essential:
+            cosets.append((tally.prefix, coset, tuple(tally.pairs)))
+            conditional = conditional or tally.conditional
+        elif tally.band is not None:
+            first = next(iter(tally.pairs))
+            band.append(BandExclusion(coset, first[0], first[1], tally.band))
     cosets.sort(key=lambda t: t[0])
     dists = tuple(t[0] for t in cosets)
-    assert all(a < b for a, b in zip(dists, dists[1:])), (
-        "separating cosets must sit at strictly increasing distances"
-    )
-    assert len(cosets) <= geo.distance, "more separating cosets than the distance"
+    if any(a >= b for a, b in zip(dists, dists[1:])):
+        raise InvariantError(
+            f"separating cosets of ({f}, {g}) must sit at strictly increasing distances"
+        )
+    if len(cosets) > geo.distance:
+        raise InvariantError(
+            f"more separating cosets of ({f}, {g}) than the distance {geo.distance}"
+        )
     return SeparatingCosets(
         f=f,
         g=g,
@@ -320,10 +354,7 @@ def triangle_partition(
                 raise PartitionNotFoundError(
                     f"{coset} separates both remaining sides"
                 )
-            same = set(map(_pair_key, inside.pairs(coset))) == set(
-                map(_pair_key, s_fg.pairs(coset))
-            )
-            if not same:
+            if set(inside.pairs(coset)) != set(s_fg.pairs(coset)):
                 raise PartitionNotFoundError(
                     f"entrance/exit data changed for {coset}"
                 )
@@ -339,7 +370,3 @@ def triangle_partition(
         pivot=pivot,
         verified=True,
     )
-
-
-def _pair_key(pair) -> tuple[str, str]:
-    return (str(pair[0]), str(pair[1]))

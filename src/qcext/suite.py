@@ -23,7 +23,7 @@ from .extension import (
     k_constant,
 )
 from .geodesics import geodesics, penetration
-from .groups import FiniteTableGroup, FreeGroup, enumerate_ball, word_key
+from .groups import FiniteTableGroup, FreeGroup, enumerate_ball
 from .qc import QuasiCocycle, coboundary1
 from .separating import _resolve_c, separation_report, triangle_partition
 
@@ -128,13 +128,12 @@ def _coset_tuple(spec, lam: str, rng, length: int, t=None) -> list:
     enough (repeats are harmless for the telescoping laws)."""
     if t is None:
         t = spec.random_element(rng, 3)
-    seen: dict[str, object] = {}
+    seen: dict = {}  # ordered set of coset elements
     attempts = 0
     while len(seen) < length and attempts < 40 * length:
-        u = t * spec.random_subgroup_element(lam, rng, 4)
-        seen.setdefault(word_key(u), u)
+        seen[t * spec.random_subgroup_element(lam, rng, 4)] = None
         attempts += 1
-    out = list(seen.values())
+    out = list(seen)
     while len(out) < length:
         out.append(out[attempts % len(out)])
     return out
@@ -168,10 +167,10 @@ def run_full_suite(
     sample_pairs = _random_pairs(spec, rng, samples)
     all_pairs = ball_pairs + sample_pairs
 
-    reports: dict[tuple[str, str], dict] = {}
+    reports: dict[tuple, dict] = {}
 
     def report_for(f, g):
-        key = (word_key(f), word_key(g))
+        key = (f, g)
         if key not in reports:
             reports[key] = separation_report(spec, f, g, c_value=c, budget=budget)
         return reports[key]
@@ -205,17 +204,13 @@ def run_full_suite(
         for lam in lams:
             expect = {}
             for i, coset in enumerate(rep_fg[lam].cosets):
-                key = word_key(spec.coset_rep(t * coset.rep, lam))
-                expect[key] = {
-                    (word_key(t * u), word_key(t * v))
-                    for u, v in rep_fg[lam].entrance_exits[i]
+                expect[spec.coset_rep(t * coset.rep, lam)] = {
+                    (t * u, t * v) for u, v in rep_fg[lam].entrance_exits[i]
                 }
-            got = {}
-            for i, coset in enumerate(rep_t[lam].cosets):
-                got[word_key(coset.rep)] = {
-                    (word_key(u), word_key(v))
-                    for u, v in rep_t[lam].entrance_exits[i]
-                }
+            got = {
+                coset.rep: set(rep_t[lam].entrance_exits[i])
+                for i, coset in enumerate(rep_t[lam].cosets)
+            }
             results["separating-equivariance"].record(
                 expect == got, f"t*S != S(t.) for ({f},{g};{lam}), t={t}"
             )

@@ -50,7 +50,7 @@ def test_extend_command(tmp_path):
     }
     assert all(r["ok"] for r in res["restriction"])
     # envelope bookkeeping lives outside the results section
-    assert report["environment"] == {"threads": "1", "execution": "serial"}
+    assert report["environment"] == {"execution": "serial"}
     assert "timings" in report and "timings" not in res
     assert report["command"] == "extend" and report["seed"] == 0
 

@@ -205,3 +205,16 @@ def test_calibration_rejects_free_products():
     spec = FreeProductPairSpec(FreeProduct([A, B]), ["A", "B"])
     with pytest.raises(DomainError):
         calibrate_c(spec, samples=2)
+
+
+def test_colliding_factor_symbols_are_a_config_error():
+    # both cyclic factors default to "sym": "g", so "g" would name two
+    # different elements
+    data = {
+        "family": "free_product",
+        "factors": [{"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 3}],
+    }
+    with pytest.raises(ConfigError):
+        spec_from_json(data)
+    with pytest.raises(DomainError):
+        FreeProduct([FreeGroup(["a"]), FreeGroup(["a", "b"])])

@@ -10,13 +10,17 @@ from qcext import (
     FreeProduct,
     FreeProductPairSpec,
     FreeRelCyclicSpec,
+    SearchBudget,
     distance,
     entrance_exit_set,
+    free_ball_words,
+    geodesics,
     separating_cosets,
     separation_report,
     triangle_partition,
 )
 from qcext.errors import NotSeparatingError
+from qcext.suite import ball_domain
 
 
 def fp_spec():
@@ -138,3 +142,111 @@ def test_triangle_partition_short_list_is_front():
     assert part.verified
     assert part.from_fh == () and part.from_hg == ()
     assert part.pivot == -1
+
+
+# -- the per-edge reference ------------------------------------------------------
+
+
+def reference_report(spec, f, g, lam, c=Fraction(0)):
+    """Separating cosets by the plain per-edge definition: every edge of
+    every enumerated geodesic is tested with in_subgroup(u^-1 v) and
+    coset_rep(u); cosets in first-seen order, each at its minimal prefix."""
+    if f == g:
+        return (), (), (), True, ()
+    if spec.in_subgroup(f.inverse() * g, lam):
+        return (Coset(lam, spec.coset_rep(f, lam)),), (0,), (((f, g),),), True, ()
+    geo = geodesics(spec, f, g)
+    info = {}
+    for path in geo.geodesics:
+        verts = [path.origin]
+        for letter in path.letters:
+            verts.append(verts[-1] * letter.elem)
+        for i in range(len(path.letters)):
+            u, v = verts[i], verts[i + 1]
+            du = u.inverse() * v
+            if du.is_identity() or not spec.in_subgroup(du, lam):
+                continue
+            rep = spec.coset_rep(u, lam)
+            entry = info.setdefault(
+                rep, {"prefix": i, "pairs": [], "essential": False, "band": None}
+            )
+            entry["prefix"] = min(entry["prefix"], i)
+            if (u, v) not in entry["pairs"]:
+                entry["pairs"].append((u, v))
+            if entry["essential"]:
+                continue
+            width = spec.rel_distance(rep.inverse() * u, rep.inverse() * v, lam)
+            if not width.is_finite() or width.value > 3 * c:
+                entry["essential"] = True
+            elif width.value > 0:
+                entry["band"] = width
+    found = sorted(
+        ((e["prefix"], Coset(lam, rep), tuple(e["pairs"]))
+         for rep, e in info.items() if e["essential"]),
+        key=lambda t: t[0],
+    )
+    band = tuple(
+        (Coset(lam, rep), e["pairs"][0], e["band"])
+        for rep, e in info.items()
+        if not e["essential"] and e["band"] is not None
+    )
+    return (
+        tuple(t[1] for t in found),
+        tuple(t[0] for t in found),
+        tuple(t[2] for t in found),
+        geo.exhaustive,
+        band,
+    )
+
+
+def assert_matches_reference(spec, g, c=Fraction(0)):
+    one = spec.identity()
+    report = separation_report(spec, one, g, c_value=c)
+    for lam in spec.lambdas():
+        got = report[lam]
+        cosets, dists, pairs, exhaustive, band = reference_report(spec, one, g, lam, c)
+        assert got.cosets == cosets, (str(g), lam)
+        assert got.distances == dists, (str(g), lam)
+        assert got.entrance_exits == pairs, (str(g), lam)
+        assert got.exhaustive == exhaustive, (str(g), lam)
+        assert tuple(
+            (b.coset, (b.entrance, b.exit), b.width) for b in got.band_excluded
+        ) == band, (str(g), lam)
+
+
+def test_rel_x_ball_matches_per_edge_reference():
+    for g in free_ball_words(F2, 3):
+        assert_matches_reference(REL_X, g)
+        assert_matches_reference(REL_X, g, c=Fraction(1))
+
+
+def test_free_product_ball_matches_per_edge_reference():
+    spec = fp_spec()
+    for g in ball_domain(spec, 2):
+        assert_matches_reference(spec, g)
+
+
+def test_generic_rel_xy_ball_matches_per_edge_reference():
+    # the pruned search returns several geodesics with their own vertices,
+    # and 3C in {1, 2} puts some widths in the band
+    spec = FreeRelCyclicSpec(
+        F2, F2.parse("x y"), c_value=0,
+        budget=SearchBudget(max_vertices=20_000, max_power=6),
+    )
+    for g in free_ball_words(F2, 3):
+        for c in (Fraction(0), Fraction(1, 3), Fraction(2, 3)):
+            assert_matches_reference(spec, g, c)
+
+
+def test_basis_geodesics_share_one_vertex_tuple():
+    for g in free_ball_words(F2, 3):
+        geo = geodesics(REL_X, F2.identity(), g)
+        if not geo.geodesics:
+            continue
+        shared = geo.geodesics[0].vertices()
+        for path in geo.geodesics:
+            assert path.vertices() is shared
+            rebuilt = [path.origin]
+            for letter in path.letters:
+                rebuilt.append(rebuilt[-1] * letter.elem)
+            assert shared == tuple(rebuilt)

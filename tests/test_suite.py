@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec
+from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec, spec_from_json
 from qcext.groups import FreeGroup, FreeProduct
 from qcext.qc import cyclic_homomorphism
 from qcext.suite import ALL_CHECKS, EXTENSION_CHECKS, SEP_CHECKS, run_full_suite
@@ -56,3 +56,16 @@ def test_rel_suite_with_input_passes():
     )
     assert out["all_passed"]
     assert out["checks"]["combed-area-bound"]["violations"] == 0
+
+
+def test_cyclic_free_product_suite_has_no_violations():
+    spec = spec_from_json({
+        "family": "free_product",
+        "factors": [
+            {"kind": "cyclic", "order": 2, "sym": "a"},
+            {"kind": "cyclic", "order": 3, "sym": "b"},
+        ],
+    })
+    out = run_full_suite(spec, samples=50, radius=2)
+    assert out["total_violations"] == 0
+    assert out["all_passed"]
