@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -196,11 +195,6 @@ class RelativeDistance:
             tag = "" if self.exact else " (upper bound)"
             return f"{self.value}{tag}"
         return self.status
-
-
-def _dist_leq(d: RelativeDistance, bound: Fraction) -> bool:
-    """Sound test d <= bound: upper-bound values may certify <=, never >."""
-    return d.status == FINITE and Fraction(d.value) <= bound
 
 
 def _dist_gt(d: RelativeDistance, bound: Fraction) -> tuple[bool, bool]:
@@ -487,40 +481,29 @@ class FreeRelCyclicSpec:
         search restricts word length and subgroup powers, so a found value
         is an upper bound; missing it within caps proves nothing.
         """
-        wl = len(self.w.letters)
-        cap_len = len(target.letters) + budget.slack * wl + 2
-        start = self.group.identity()
-        dist = {start: 0}
-        queue = deque([start])
-        xmoves = [
-            FreeWord(self.group, (code,))
-            for i in range(1, len(self.group.gens) + 1)
-            for code in (i, -i)
-        ]
-        hmoves = [
-            self.subgroup_element(k)
-            for k in range(-budget.max_power, budget.max_power + 1)
-            if k
-        ]
-        while queue:
-            v = queue.popleft()
-            d = dist[v]
-            if v == target:
-                return RelativeDistance(FINITE, d, exact=False, note="capped search")
-            if d >= budget.max_depth:
-                continue
-            succs = [v * m for m in xmoves]
-            if self.power_of(v) is None:
-                succs.extend(v * h for h in hmoves)
-            for u in succs:
-                if len(u.letters) > cap_len or u in dist:
-                    continue
-                dist[u] = d + 1
-                queue.append(u)
-                if len(dist) > budget.max_vertices:
-                    return RelativeDistance(
-                        UNKNOWN, note="vertex budget exhausted"
-                    )
+        from .geodesics import _bfs, _search_moves, _to_bytes  # local: avoids an import cycle
+
+        w_bytes, w_inv_bytes = _to_bytes(self.w), _to_bytes(self._w_inv)
+        wl = len(w_bytes)
+
+        def in_w(v: bytes) -> bool:
+            k, r = divmod(len(v), wl)
+            return r == 0 and (v == w_bytes * k or v == w_inv_bytes * k)
+
+        goal = _to_bytes(target)
+        try:
+            dist = _bfs(
+                _search_moves(self, budget.max_power),
+                len(goal) + budget.slack * wl + 2,
+                budget.max_depth,
+                budget.max_vertices,
+                target=goal,
+                barred=in_w,
+            )
+        except BudgetExhaustedError:
+            return RelativeDistance(UNKNOWN, note="vertex budget exhausted")
+        if goal in dist:
+            return RelativeDistance(FINITE, dist[goal], exact=False, note="capped search")
         return RelativeDistance(UNKNOWN, note="search space exhausted under caps")
 
     def rel_ball(self, lam, radius, strict: bool = False, budget=None) -> RelBall:
@@ -530,9 +513,10 @@ class FreeRelCyclicSpec:
         def inside(v: Fraction) -> bool:
             return v < radius if strict else v <= radius
 
+        if (radius <= 0 and strict) or radius < 0:
+            # d-hat >= 0, so no element is inside
+            return RelBall((), complete=True)
         if self.is_basis:
-            if (radius <= 0 and strict) or radius < 0:
-                return RelBall((), complete=True)
             # d-hat(1, w^k) = |k|; collect k with inside(|k|)
             ks = [k for k in range(-int(radius) - 1, int(radius) + 2) if inside(Fraction(abs(k)))]
             ks.sort(key=lambda k: (abs(k), -k))
@@ -575,11 +559,6 @@ class FreeRelCyclicSpec:
 
 
 EmbeddingSpec = FreeProductPairSpec | FreeRelCyclicSpec
-
-
-def relative_distance(spec, lam: str, h1, h2, budget=None) -> RelativeDistance:
-    """Module-level wrapper with the argument order used by reports."""
-    return spec.rel_distance(h1, h2, lam, budget=budget)
 
 
 def check_local_finiteness(spec, lam: str, radius, cap: int = 10_000) -> RelBall:

@@ -10,13 +10,21 @@ and multiply on the right.  Three engines back `geodesics`:
 * generic cyclic word: pruned breadth-first search with a predecessor DAG
   and ordered enumeration of all geodesics found under the caps.
 
-Closed forms report exhaustive=True; the pruned search never does.  The
-independent `brute_force_distance_oracle` re-derives distances from scratch
-over group elements (no shared code with the engines) for testing.
+Closed forms report exhaustive=True; the pruned search never does.
+
+One breadth-first search kernel, `_bfs` over byte-encoded reduced words,
+runs every coned-graph search of the relative family: the generic engine
+(with predecessors), the `distance_map` sweep (no target, bounded by word
+length only) and the relative metric's `_rel_bfs` (subgroup moves barred
+inside the subgroup).  Running out of `max_vertices` raises
+BudgetExhaustedError there; that is the engines' only vertex-budget rule.
+The independent `brute_force_distance_oracle` re-derives distances from
+scratch over group elements (no shared code with the engines) for testing.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -71,12 +79,6 @@ class CayleyPath:
 
     def __repr__(self):
         return f"CayleyPath({self.origin}, {self.dump()})"
-
-
-def concat(p: CayleyPath, q: CayleyPath) -> CayleyPath:
-    if p.endpoint() != q.origin:
-        raise DomainError("paths do not share an endpoint")
-    return CayleyPath(p.origin, p.letters + q.letters)
 
 
 @dataclass(frozen=True)
@@ -208,55 +210,87 @@ def _mul_bytes(a: bytes, b: bytes) -> bytes:
     return a[:i] + b[j:]
 
 
-def _generic_moves(spec, budget: SearchBudget, word_len: int):
-    """Ordered (letter, byte-word) moves for the pruned search."""
-    wl = len(spec.w.letters)
-    pcap = -(-(word_len + budget.slack) // wl) + 1
-    pcap = min(pcap, budget.max_power)
+def _search_moves(spec, max_power: int) -> list:
+    """(letter, byte-word, is-subgroup-move) triples in the deterministic
+    letter order: each ambient generator and its inverse, then w^k and w^-k
+    for k = 1 .. max_power."""
+    group = spec.group
     moves = []
-    for i in range(1, len(spec.group.gens) + 1):
+    for i in range(1, len(group.gens) + 1):
         for code in (i, -i):
-            moves.append((XLetter(spec.group, code), _to_bytes(FreeWord(spec.group, (code,)))))
-    for a in range(1, pcap + 1):
+            letter = XLetter(group, code)
+            moves.append((letter, _to_bytes(letter.elem), False))
+    for a in range(1, max_power + 1):
         for k in (a, -a):
             h = spec.subgroup_element(k)
-            moves.append((HLetter(spec.lam_name, h, power=k), _to_bytes(h)))
+            moves.append((HLetter(spec.lam_name, h, power=k), _to_bytes(h), True))
     return moves
+
+
+def _bfs(moves, cap_len: int, max_depth: float = math.inf,
+         max_vertices: float = math.inf, target: bytes | None = None,
+         barred=None, pred: dict | None = None) -> dict[bytes, int]:
+    """Breadth-first search of the coned graph from the identity, over
+    reduced byte words; returns {vertex: depth}.
+
+    No vertex longer than cap_len is entered, no vertex at depth max_depth
+    is expanded, and no subgroup move is taken from a vertex v with
+    barred(v).  Once the target turns up at depth D nothing at depth D or
+    deeper is expanded, so every shortest path to it is still found.  When
+    `pred` is a dict it receives, per vertex, the (predecessor, letter)
+    edges of all its shortest paths.  Raises BudgetExhaustedError rather
+    than hold more than max_vertices vertices.
+    """
+    start = b""
+    dist = {start: 0}
+    if pred is not None:
+        pred[start] = []
+    # A move cancels against v only when v ends in the inverse of its first
+    # letter; every other product is a plain concatenation.
+    full = [(letter, mb, mb[0] ^ 1) for letter, mb, _ in moves]
+    ambient = [m for m, (_, _, sub) in zip(full, moves) if not sub]
+    stop = 0 if target == start else math.inf
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        d = dist[v]
+        if d >= stop or d >= max_depth:
+            break  # the queue holds depths in nondecreasing order
+        last = v[-1] if v else -1
+        for letter, mb, cancels in ambient if barred is not None and barred(v) else full:
+            nv = _mul_bytes(v, mb) if last == cancels else v + mb
+            if len(nv) > cap_len:
+                continue
+            if nv not in dist:
+                if len(dist) >= max_vertices:
+                    raise BudgetExhaustedError(
+                        "coned-graph search exceeded the vertex budget"
+                    )
+                dist[nv] = d + 1
+                queue.append(nv)
+                if pred is not None:
+                    pred[nv] = [(v, letter)]
+                if nv == target:
+                    stop = d + 1
+            elif pred is not None and dist[nv] == d + 1:
+                pred[nv].append((v, letter))
+    return dist
 
 
 def _generic_geodesics(spec, f, g, budget: SearchBudget) -> GeodesicSet:
     u = f.inverse() * g
     target = _to_bytes(u)
-    cap_len = len(u.letters) + budget.slack * len(spec.w.letters)
-    moves = _generic_moves(spec, budget, len(u.letters))
-    start = b""
-    dist: dict[bytes, int] = {start: 0}
-    pred: dict[bytes, list] = {start: []}
-    queue = deque([start])
-    found = dist.get(target)
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if found is not None and d >= found:
-            continue
-        if d >= budget.max_depth:
-            continue
-        for letter, mb in moves:
-            nv = _mul_bytes(v, mb)
-            if len(nv) > cap_len:
-                continue
-            if nv not in dist:
-                if len(dist) > budget.max_vertices:
-                    raise BudgetExhaustedError(
-                        "geodesic search exceeded the vertex budget"
-                    )
-                dist[nv] = d + 1
-                pred[nv] = [(v, letter)]
-                queue.append(nv)
-                if nv == target:
-                    found = d + 1
-            elif dist[nv] == d + 1:
-                pred[nv].append((v, letter))
+    wl = len(spec.w.letters)
+    pcap = min(-(-(len(target) + budget.slack) // wl) + 1, budget.max_power)
+    pred: dict[bytes, list] = {}
+    dist = _bfs(
+        _search_moves(spec, pcap),
+        len(target) + budget.slack * wl,
+        budget.max_depth,
+        budget.max_vertices,
+        target=target,
+        pred=pred,
+    )
     if target not in dist:
         raise BudgetExhaustedError("no path found within the search caps")
 
@@ -293,7 +327,7 @@ def _generic_geodesics(spec, f, g, budget: SearchBudget) -> GeodesicSet:
                 return False
         return True
 
-    walk(start, [])
+    walk(b"", [])
     return GeodesicSet(
         distance=dist[target],
         geodesics=tuple(paths),
@@ -354,32 +388,7 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
         return out
     sweep_len = sweep_len if sweep_len is not None else max_len + 2
     max_power = max_power if max_power is not None else spec.budget.max_power
-    xmoves = []
-    for i in range(1, len(group.gens) + 1):
-        for code in (i, -i):
-            xmoves.append(_to_bytes(FreeWord(group, (code,))))
-    hmoves = []
-    for a in range(1, max_power + 1):
-        for k in (a, -a):
-            hmoves.append(_to_bytes(spec.subgroup_element(k)))
-    dist: dict[bytes, int] = {b"": 0}
-    frontier = [b""]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for mb in xmoves:
-                nv = _mul_bytes(v, mb)
-                if len(nv) <= sweep_len and nv not in dist:
-                    dist[nv] = d
-                    nxt.append(nv)
-            for mb in hmoves:
-                nv = _mul_bytes(v, mb)
-                if len(nv) <= sweep_len and nv not in dist:
-                    dist[nv] = d
-                    nxt.append(nv)
-        frontier = nxt
+    dist = _bfs(_search_moves(spec, max_power), sweep_len)
     out = {}
     for vb, dv in dist.items():
         if len(vb) <= max_len:

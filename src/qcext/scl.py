@@ -289,47 +289,18 @@ class PipelineConstants:
         }
 
 
-def _bilipschitz_l(spec, lam: str, y_words, c_value: Fraction, budget=None):
+def _bilipschitz_l(spec, lam: str, c_value: Fraction, budget=None):
     """Smallest L with d_Y <= L * d-hat on the strict relative 15C-ball.
 
-    The empty ball (always the case at C = 0) gives the vacuous L = 1."""
+    The pipeline runs on free products, where d-hat is infinite off the
+    diagonal: the strict ball is {1} for C > 0 and empty for C = 0, so no
+    element constrains L and L = 1 either way."""
     ball = spec.rel_ball(lam, 15 * c_value, strict=True, budget=budget)
     if not ball.elements:
         return Fraction(1), "vacuous: strict ball is empty"
-    best = Fraction(1)
-    moves = []
-    for y in y_words:
-        moves.append(y)
-        moves.append(y.inverse())
-    for h in ball.elements:
-        if h.is_identity():
-            continue
-        dh = spec.rel_distance(spec.identity(), h, lam)
-        if not dh.is_finite() or dh.value == 0:
-            continue
-        dy = _word_length_over(h, moves)
-        best = max(best, as_fraction(dy) / dh.value)
-    return best, "exhaustive over the strict ball"
-
-
-def _word_length_over(target, moves, cap: int = 200_000) -> int:
-    from collections import deque
-
-    identity = target * target.inverse()
-    seen = {identity: 0}
-    queue = deque([identity])
-    while queue:
-        v = queue.popleft()
-        if v == target:
-            return seen[v]
-        for m in moves:
-            nv = v * m
-            if nv not in seen:
-                if len(seen) > cap:
-                    raise DomainError("Y-word-length search exceeded its cap")
-                seen[nv] = seen[v] + 1
-                queue.append(nv)
-    raise DomainError("target not generated by Y within the cap")
+    if any(not h.is_identity() for h in ball.elements):
+        raise InvariantError("a free-product strict relative ball holds only 1")
+    return Fraction(1), "exhaustive over the strict ball"
 
 
 def undistortion_pipeline(
@@ -378,7 +349,7 @@ def undistortion_pipeline(
         if phi_adj.scalar_value(y) != 0:
             raise InvariantError(f"adjusted value must vanish on Y1, not at {y}")
 
-    l_value, l_note = _bilipschitz_l(spec, lam, list(nice.y1) + list(nice.y2), c)
+    l_value, l_note = _bilipschitz_l(spec, lam, c)
     notes.append(f"L: {l_note}")
 
     amb = embed_on_factor(spec, lam, phi_adj)

@@ -167,20 +167,28 @@ def run_full_suite(
     sample_pairs = _random_pairs(spec, rng, samples)
     all_pairs = ball_pairs + sample_pairs
 
-    reports: dict[tuple, dict] = {}
+    # (f, g) -> (geodesics, separation report): each ordered pair's
+    # geodesics are enumerated once and shared by every check below
+    cache: dict[tuple, tuple] = {}
+
+    def geo_and_report(f, g):
+        key = (f, g)
+        if key not in cache:
+            geo = geodesics(spec, f, g, budget=budget)
+            cache[key] = (
+                geo, separation_report(spec, f, g, c_value=c, budget=budget, geo=geo)
+            )
+        return cache[key]
 
     def report_for(f, g):
-        key = (f, g)
-        if key not in reports:
-            reports[key] = separation_report(spec, f, g, c_value=c, budget=budget)
-        return reports[key]
+        return geo_and_report(f, g)[1]
 
     # separation laws over every pair
     trng = seeded_rng(seed, "suite:translates")
     for f, g in all_pairs:
-        rep_fg = report_for(f, g)
+        geo, rep_fg = geo_and_report(f, g)
         rep_gf = report_for(g, f)
-        dist = geodesics(spec, f, g, budget=budget).distance
+        dist = geo.distance
         for lam in lams:
             s_fg, s_gf = rep_fg[lam], rep_gf[lam]
             results["separating-symmetry"].record(
@@ -200,7 +208,7 @@ def run_full_suite(
     for f, g in sample_pairs:
         t = spec.random_element(trng, 3)
         rep_fg = report_for(f, g)
-        rep_t = separation_report(spec, t * f, t * g, c_value=c, budget=budget)
+        rep_t = report_for(t * f, t * g)
         for lam in lams:
             expect = {}
             for i, coset in enumerate(rep_fg[lam].cosets):
@@ -218,8 +226,7 @@ def run_full_suite(
     # penetration and entrance-exit gaps over the ball pairs + a sample slice
     pen_pairs = ball_pairs + sample_pairs[: samples // 5]
     for f, g in pen_pairs:
-        rep_fg = report_for(f, g)
-        geo = geodesics(spec, f, g, budget=budget)
+        geo, rep_fg = geo_and_report(f, g)
         for lam in lams:
             sep = rep_fg[lam]
             for i, coset in enumerate(sep.cosets):

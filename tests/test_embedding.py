@@ -100,6 +100,15 @@ def test_rel_distance_xy_frozen_values():
     assert d2.status == FINITE and d2.value == 4
 
 
+def test_rel_distance_budget_exhaustion_is_unknown():
+    # The search runs out of vertices before it can reach (xy)^2: that is
+    # reported as an unknown distance, never raised and never infinite.
+    spec = FreeRelCyclicSpec(F2, F2.parse("x y"), budget=SearchBudget(max_vertices=5))
+    d = spec.rel_distance(F2.identity(), F2.parse("x y x y"), spec.lambdas()[0])
+    assert d.status == UNKNOWN
+    assert d.note == "vertex budget exhausted"
+
+
 def test_rel_distance_rejects_outsiders():
     spec = rel_xy()
     with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ from qcext import (
     FreeProductPairSpec,
     FreeRelCyclicSpec,
     QuasiCocycle,
+    SearchBudget,
     asnec_demo,
     averaged_value,
     brooks,
@@ -148,6 +149,25 @@ def test_k_constant_rel_ball():
     assert k1 == 14 and not cond1
     k3, _ = k_constant(REL_X, "C", q, Fraction(1, 3))
     assert k3 == 4
+
+
+def test_k_constant_empty_ball_runs_no_search(monkeypatch):
+    # At C = 0 the strict relative 15C-ball is empty for every family, so
+    # K = 0 exactly, even where the relative metric needs a capped search.
+    spec = FreeRelCyclicSpec(
+        F2, F2.parse("x y"), c_value=0,
+        budget=SearchBudget(max_vertices=20_000, max_power=6),
+    )
+    calls = []
+    search = FreeRelCyclicSpec._rel_bfs
+
+    def counted(self, target, budget):
+        calls.append(target)
+        return search(self, target, budget)
+
+    monkeypatch.setattr(FreeRelCyclicSpec, "_rel_bfs", counted)
+    assert k_constant(spec, "C", cyclic_homomorphism(spec), Fraction(0)) == (0, False)
+    assert calls == []
 
 
 def test_antisymmetry_gate():

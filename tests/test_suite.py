@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+
+from qcext import separating, suite
 from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec, spec_from_json
 from qcext.groups import FreeGroup, FreeProduct
 from qcext.qc import cyclic_homomorphism
@@ -69,3 +72,32 @@ def test_cyclic_free_product_suite_has_no_violations():
     out = run_full_suite(spec, samples=50, radius=2)
     assert out["total_violations"] == 0
     assert out["all_passed"]
+
+
+def test_suite_enumerates_each_pair_once(monkeypatch):
+    # Outside triangle_partition (which re-derives its three sides), every
+    # ordered pair's geodesics are enumerated once per suite run.
+    counts: Counter = Counter()
+    inside_partition = []
+    enumerate_geodesics = suite.geodesics
+    partition = suite.triangle_partition
+
+    def counted(spec, f, g, budget=None):
+        if not inside_partition:
+            counts[(f, g)] += 1
+        return enumerate_geodesics(spec, f, g, budget=budget)
+
+    def uncounted_partition(*args, **kwargs):
+        inside_partition.append(True)
+        try:
+            return partition(*args, **kwargs)
+        finally:
+            inside_partition.pop()
+
+    monkeypatch.setattr(suite, "geodesics", counted)
+    monkeypatch.setattr(separating, "geodesics", counted)
+    monkeypatch.setattr(suite, "triangle_partition", uncounted_partition)
+    out = run_full_suite(rel_spec(), samples=40, radius=2)
+    assert out["all_passed"]
+    assert counts
+    assert max(counts.values()) == 1
