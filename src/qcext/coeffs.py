@@ -10,6 +10,12 @@ Two module shapes cover everything here:
 
 Coefficients are exact Fractions throughout; norms come in a float flavor
 for reporting and an exact p-th-power flavor for certified comparisons.
+
+The public ModuleVector constructor converts every coefficient, checks every
+index and drops zeros.  Arithmetic on vectors that already passed it (+, -,
+unary -, scale, and act on TrivialReals) builds its result through the
+module-private _trusted constructor, which skips those checks: the indices
+are the operands' own and every stored coefficient is a nonzero Fraction.
 """
 
 from __future__ import annotations
@@ -138,30 +144,46 @@ class ModuleVector:
         return self.coeffs.get((), Fraction(0))
 
     def _check(self, other: ModuleVector):
-        if not isinstance(other, ModuleVector) or self.module != other.module:
+        if not isinstance(other, ModuleVector) or (
+            self.module is not other.module and self.module != other.module
+        ):
             raise MixedContextError("vectors from different modules")
 
-    def __add__(self, other: ModuleVector) -> ModuleVector:
+    def _plus(self, other: ModuleVector, subtract: bool) -> ModuleVector:
         self._check(other)
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-        return ModuleVector(self.module, out)
+            if subtract:
+                c = -c
+            if idx in out:
+                c += out[idx]
+                if not c:
+                    del out[idx]
+                    continue
+            out[idx] = c
+        return _trusted(self.module, out)
+
+    def __add__(self, other: ModuleVector) -> ModuleVector:
+        return self._plus(other, False)
 
     def __sub__(self, other: ModuleVector) -> ModuleVector:
-        return self + (-other)
+        return self._plus(other, True)
 
     def __neg__(self) -> ModuleVector:
-        return ModuleVector(self.module, {i: -c for i, c in self.coeffs.items()})
+        return _trusted(self.module, {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, r) -> ModuleVector:
         r = as_fraction(r)
-        return ModuleVector(self.module, {i: r * c for i, c in self.coeffs.items()})
+        if not r:
+            return _trusted(self.module, {})
+        return _trusted(self.module, {i: r * c for i, c in self.coeffs.items()})
 
     def __rmul__(self, r) -> ModuleVector:
         return self.scale(r)
 
     def act(self, g) -> ModuleVector:
+        if isinstance(self.module, TrivialReals):
+            return self  # immutable, and the trivial action ignores g
         out: dict = {}
         for idx, c in self.coeffs.items():
             j = self.module.act_index(g, idx)
@@ -198,6 +220,14 @@ class ModuleVector:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _trusted(module, coeffs: dict) -> ModuleVector:
+    """Wrap a dict of valid indices to nonzero Fractions without checks."""
+    vec = object.__new__(ModuleVector)
+    object.__setattr__(vec, "module", module)
+    object.__setattr__(vec, "coeffs", coeffs)
+    return vec
 
 
 def zero(module) -> ModuleVector:

@@ -21,7 +21,14 @@ from fractions import Fraction
 from .coeffs import ModuleVector, sum_vectors, zero
 from .embedding import seeded_rng
 from .errors import CertificateError, DomainError, MixedContextError
-from .qc import CertifiedBound, QuasiCocycle, antisymmetrize, defect, step_quasimorphism
+from .qc import (
+    CertifiedBound,
+    QuasiCocycle,
+    antisymmetrize,
+    defect,
+    half_sign,
+    step_quasimorphism,
+)
 from .separating import _resolve_c, separation_report
 
 
@@ -322,20 +329,8 @@ def asnec_demo(n: int = 1, k_max: int = 6, seed: int = 0) -> dict:
         )
     raw.sync_notes()
 
-    # Symmetrized rerun: alpha(step)(x^m) = sign(m)/2, defect 1/2 by the
-    # same sign-pattern exhaustion that certified the step function.
-    half_sign = QuasiCocycle(
-        "half-sign",
-        spec.group,
-        step.module,
-        antisymmetrize(step)._fn,
-        antisymmetric=True,
-        homogeneous=True,
-        exact_cocycle=False,
-        certified_defect=CertifiedBound(Fraction(1, 2), "combinatorial-certificate",
-                                        "sign-pattern exhaustion"),
-    )
-    fixed = extend(spec, {lam: half_sign}, seed=seed)
+    # Symmetrized rerun: alpha(step)(x^m) = sign(m)/2, defect 1/2.
+    fixed = extend(spec, {lam: half_sign(spec)}, seed=seed)
     ball = [group.identity()]
     rng = seeded_rng(seed, "asnec-ball")
     for _ in range(40):

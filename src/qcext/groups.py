@@ -6,6 +6,11 @@ are stored as tuples of signed ints (generator i maps to i+1, its inverse to
 normal form: a tuple of (factor index, nontrivial factor element) syllables
 with adjacent factor indices distinct.
 
+Equality compares the payload (letters, syllables or table index) first and
+the group second, by identity before value.  Hashes are payload-only: equal
+elements have equal payloads, and since no symbol string enters the hash, an
+element's hash does not depend on PYTHONHASHSEED.
+
 Parsing uses one token grammar everywhere: tokens separated by whitespace or
 '*', each token either '1' (identity) or 'sym' or 'sym^k' with k a nonzero
 integer.  Symbols must be unique across a group (and across the factors of a
@@ -64,7 +69,9 @@ class FreeGroup:
         raise AttributeError("FreeGroup is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, FreeGroup) and self.gens == other.gens
+        return self is other or (
+            isinstance(other, FreeGroup) and self.gens == other.gens
+        )
 
     def __hash__(self):
         return hash(("FreeGroup", self.gens))
@@ -149,10 +156,12 @@ class FreeWord:
     def __eq__(self, other):
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return self.group == other.group and self.letters == other.letters
+        return self.letters == other.letters and (
+            self.group is other.group or self.group == other.group
+        )
 
     def __hash__(self):
-        return hash((self.group.gens, self.letters))
+        return hash(self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -166,7 +175,7 @@ class FreeWord:
     def __mul__(self, other: FreeWord) -> FreeWord:
         if not isinstance(other, FreeWord):
             return NotImplemented
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise MixedContextError("words from different free groups")
         a, b = list(self.letters), other.letters
         i = 0
@@ -236,15 +245,17 @@ class FiniteElement:
     def __eq__(self, other):
         if not isinstance(other, FiniteElement):
             return NotImplemented
-        return self.group == other.group and self.index == other.index
+        return self.index == other.index and (
+            self.group is other.group or self.group == other.group
+        )
 
     def __hash__(self):
-        return hash((self.group.names, self.index))
+        return hash(self.index)
 
     def __mul__(self, other: FiniteElement) -> FiniteElement:
         if not isinstance(other, FiniteElement):
             return NotImplemented
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise MixedContextError("elements from different finite groups")
         return FiniteElement(self.group, self.group.table[self.index][other.index])
 
@@ -324,7 +335,7 @@ class FiniteTableGroup:
         raise AttributeError("FiniteTableGroup is immutable")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteTableGroup)
             and self.names == other.names
             and self.table == other.table
@@ -415,7 +426,9 @@ class FreeProduct:
         raise AttributeError("FreeProduct is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, FreeProduct) and self.factors == other.factors
+        return self is other or (
+            isinstance(other, FreeProduct) and self.factors == other.factors
+        )
 
     def __hash__(self):
         return hash(("FreeProduct", self.factors))
@@ -482,10 +495,12 @@ class FreeProductElement:
     def __eq__(self, other):
         if not isinstance(other, FreeProductElement):
             return NotImplemented
-        return self.group == other.group and self.syllables == other.syllables
+        return self.syllables == other.syllables and (
+            self.group is other.group or self.group == other.group
+        )
 
     def __hash__(self):
-        return hash(("FPE", self.syllables))
+        return hash(self.syllables)
 
     def __len__(self):
         return len(self.syllables)
@@ -496,7 +511,7 @@ class FreeProductElement:
     def __mul__(self, other: FreeProductElement) -> FreeProductElement:
         if not isinstance(other, FreeProductElement):
             return NotImplemented
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise MixedContextError("elements from different free products")
         left = list(self.syllables)
         right = list(other.syllables)

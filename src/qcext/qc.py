@@ -10,6 +10,7 @@ Constructors provided here with their certificates:
 
 * zero_cocycle, cyclic_homomorphism, tree_edge_cocycle: defect 0;
 * step_quasimorphism: defect 1 by sign-pattern exhaustion;
+* half_sign: the antisymmetrized step function, defect 1/2 likewise;
 * brooks: defect 3, a cut-crossing argument (comment at the definition);
 * brooks_homogenized: exact limit evaluator, defect 6 = 2 * 3;
 * antisymmetrize: carries the input certificate through.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import IndexedLp, ModuleVector, TrivialReals, delta, real_value, zero
+from .coeffs import IndexedLp, ModuleVector, TrivialReals, real_value, zero
 from .errors import CertificateError, DomainError, MixedContextError
 from .groups import FreeGroup, FreeWord, as_fraction, cyclic_reduce
 
@@ -373,6 +374,26 @@ def step_quasimorphism(spec, module=None) -> QuasiCocycle:
         homogeneous=False,
         exact_cocycle=False,
         certified_defect=CertifiedBound(1, "combinatorial-certificate",
+                                        "sign-pattern exhaustion"),
+    )
+
+
+def half_sign(spec) -> QuasiCocycle:
+    """The antisymmetrized step function: q(w^n) = sign(n)/2.
+
+    Defect 1/2 by the sign-pattern exhaustion that certifies the step
+    function: |s(m) + s(n) - s(m+n)| / 2 <= 1/2 for the sign s.
+    """
+    step = step_quasimorphism(spec)
+    return QuasiCocycle(
+        "half-sign",
+        spec.group,
+        step.module,
+        antisymmetrize(step)._fn,
+        antisymmetric=True,
+        homogeneous=True,
+        exact_cocycle=False,
+        certified_defect=CertifiedBound(Fraction(1, 2), "combinatorial-certificate",
                                         "sign-pattern exhaustion"),
     )
 

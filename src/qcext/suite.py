@@ -9,6 +9,7 @@ inequalities for a concrete extension (inputs required, skipped otherwise).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .extension import (
 )
 from .geodesics import geodesics, penetration
 from .groups import FiniteTableGroup, FreeGroup, enumerate_ball
-from .qc import QuasiCocycle, coboundary1
+from .qc import coboundary1
 from .separating import _resolve_c, separation_report, triangle_partition
 
 SEP_CHECKS = (
@@ -167,66 +168,38 @@ def run_full_suite(
     sample_pairs = _random_pairs(spec, rng, samples)
     all_pairs = ball_pairs + sample_pairs
 
-    # (f, g) -> (geodesics, separation report): each ordered pair's
-    # geodesics are enumerated once and shared by every check below
-    cache: dict[tuple, tuple] = {}
+    # penetration and entrance-exit gaps run on the ball pairs + a sample
+    # slice, a prefix of all_pairs; `owed` counts the checks each pair has left
+    pen_pairs = ball_pairs + sample_pairs[: samples // 5]
+    owed = Counter(pen_pairs)
 
-    def geo_and_report(f, g):
+    # (f, g) -> (distance, separation report): each ordered pair's geodesics
+    # are enumerated once; `held` keeps them only for a pair still owed a
+    # penetration check
+    cache: dict[tuple, tuple] = {}
+    held: dict = {}
+
+    def dist_and_report(f, g):
         key = (f, g)
         if key not in cache:
             geo = geodesics(spec, f, g, budget=budget)
             cache[key] = (
-                geo, separation_report(spec, f, g, c_value=c, budget=budget, geo=geo)
+                geo.distance,
+                separation_report(spec, f, g, c_value=c, budget=budget, geo=geo),
             )
+            if owed[key]:
+                held[key] = geo
         return cache[key]
 
     def report_for(f, g):
-        return geo_and_report(f, g)[1]
+        return dist_and_report(f, g)[1]
 
-    # separation laws over every pair
-    trng = seeded_rng(seed, "suite:translates")
-    for f, g in all_pairs:
-        geo, rep_fg = geo_and_report(f, g)
-        rep_gf = report_for(g, f)
-        dist = geo.distance
-        for lam in lams:
-            s_fg, s_gf = rep_fg[lam], rep_gf[lam]
-            results["separating-symmetry"].record(
-                set(s_fg.cosets) == set(s_gf.cosets),
-                f"S({f},{g};{lam}) != S({g},{f};{lam})",
-            )
-            results["separating-order"].record(
-                all(a < b for a, b in zip(s_fg.distances, s_fg.distances[1:])),
-                f"distances not increasing for ({f},{g};{lam})",
-            )
-            results["cardinality-bound"].record(
-                len(s_fg) <= dist,
-                f"|S|={len(s_fg)} exceeds d={dist} for ({f},{g};{lam})",
-            )
-
-    # equivariance on the sampled pairs
-    for f, g in sample_pairs:
-        t = spec.random_element(trng, 3)
-        rep_fg = report_for(f, g)
-        rep_t = report_for(t * f, t * g)
-        for lam in lams:
-            expect = {}
-            for i, coset in enumerate(rep_fg[lam].cosets):
-                expect[spec.coset_rep(t * coset.rep, lam)] = {
-                    (t * u, t * v) for u, v in rep_fg[lam].entrance_exits[i]
-                }
-            got = {
-                coset.rep: set(rep_t[lam].entrance_exits[i])
-                for i, coset in enumerate(rep_t[lam].cosets)
-            }
-            results["separating-equivariance"].record(
-                expect == got, f"t*S != S(t.) for ({f},{g};{lam}), t={t}"
-            )
-
-    # penetration and entrance-exit gaps over the ball pairs + a sample slice
-    pen_pairs = ball_pairs + sample_pairs[: samples // 5]
-    for f, g in pen_pairs:
-        geo, rep_fg = geo_and_report(f, g)
+    def penetration_checks(f, g, rep_fg):
+        key = (f, g)
+        geo = held[key]
+        owed[key] -= 1
+        if not owed[key]:
+            del held[key]
         for lam in lams:
             sep = rep_fg[lam]
             for i, coset in enumerate(sep.cosets):
@@ -248,6 +221,47 @@ def run_full_suite(
                             bool(verdict),
                             f"gap {d_uv} not above {3 * c} at {coset} of ({f},{g})",
                         )
+
+    # separation laws over every pair, penetration over its prefix
+    for n, (f, g) in enumerate(all_pairs):
+        dist, rep_fg = dist_and_report(f, g)
+        rep_gf = report_for(g, f)
+        for lam in lams:
+            s_fg, s_gf = rep_fg[lam], rep_gf[lam]
+            results["separating-symmetry"].record(
+                set(s_fg.cosets) == set(s_gf.cosets),
+                f"S({f},{g};{lam}) != S({g},{f};{lam})",
+            )
+            results["separating-order"].record(
+                all(a < b for a, b in zip(s_fg.distances, s_fg.distances[1:])),
+                f"distances not increasing for ({f},{g};{lam})",
+            )
+            results["cardinality-bound"].record(
+                len(s_fg) <= dist,
+                f"|S|={len(s_fg)} exceeds d={dist} for ({f},{g};{lam})",
+            )
+        if n < len(pen_pairs):
+            penetration_checks(f, g, rep_fg)
+
+    # equivariance on the sampled pairs
+    trng = seeded_rng(seed, "suite:translates")
+    for f, g in sample_pairs:
+        t = spec.random_element(trng, 3)
+        rep_fg = report_for(f, g)
+        rep_t = report_for(t * f, t * g)
+        for lam in lams:
+            expect = {}
+            for i, coset in enumerate(rep_fg[lam].cosets):
+                expect[spec.coset_rep(t * coset.rep, lam)] = {
+                    (t * u, t * v) for u, v in rep_fg[lam].entrance_exits[i]
+                }
+            got = {
+                coset.rep: set(rep_t[lam].entrance_exits[i])
+                for i, coset in enumerate(rep_t[lam].cosets)
+            }
+            results["separating-equivariance"].record(
+                expect == got, f"t*S != S(t.) for ({f},{g};{lam}), t={t}"
+            )
 
     # triangle partitions: all small triples plus samples
     small = ball_domain(spec, 1)

@@ -17,8 +17,6 @@ from qcext.extension import asnec_demo, extend, restriction_check
 from qcext.geodesics import distance, distance_map, free_ball_words
 from qcext.groups import FreeGroup, FreeProduct, commutator
 from qcext.qc import (
-    CertifiedBound,
-    QuasiCocycle,
     antisymmetrize,
     brooks,
     brooks_homogenized,
@@ -27,6 +25,7 @@ from qcext.qc import (
     cyclic_homomorphism,
     defect,
     embed_on_factor,
+    half_sign,
     step_quasimorphism,
     tree_edge_cocycle,
 )
@@ -55,22 +54,6 @@ def big_spec():
 
 def relx_spec():
     return FreeRelCyclicSpec(F2, F2.parse("x"))
-
-
-def half_sign_input(spec):
-    # cert 1/2 by sign-pattern exhaustion: |s(a)+s(b)-s(a+b)|/2 <= 1/2
-    step = step_quasimorphism(spec)
-    return QuasiCocycle(
-        "half-sign",
-        spec.group,
-        step.module,
-        antisymmetrize(step)._fn,
-        antisymmetric=True,
-        homogeneous=True,
-        certified_defect=CertifiedBound(
-            Fraction(1, 2), "combinatorial-certificate", "sign-pattern exhaustion"
-        ),
-    )
 
 
 def alternating_elements(spec, pools, depth):
@@ -243,7 +226,7 @@ def test_a03_defect_certificates_on_exhaustive_balls():
 @cache
 def _acceptance_suites():
     relx = relx_spec()
-    rel_out = run_full_suite(relx, {"C": half_sign_input(relx)}, samples=2500, radius=3)
+    rel_out = run_full_suite(relx, {"C": half_sign(relx)}, samples=2500, radius=3)
     zz = zz_spec()
     zz_out = run_full_suite(
         zz,
@@ -296,7 +279,7 @@ def test_a06_one_sided_extension_demo():
 
     # the antisymmetrized rerun passes the exhaustive-ball defect check
     relx = relx_spec()
-    fixed = extend(relx, {"C": half_sign_input(relx)})
+    fixed = extend(relx, {"C": half_sign(relx)})
     est = defect(fixed.iota, list(free_ball_words(F2, 3)))
     ok = ok and fixed.certificate.value == 33
     ok = ok and est.exact_pth_power_max == Fraction(1, 2)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcext import FreeGroup, IndexedLp, TrivialReals, delta, real_value, zero
-from qcext.coeffs import project_to_submodule, sum_vectors
+from qcext.coeffs import ModuleVector, project_to_submodule, sum_vectors
 from qcext.errors import MixedContextError
+from qcext.groups import ball_elements
 
 
 F2 = FreeGroup(["x", "y"])
@@ -38,8 +40,51 @@ def test_trivial_action_is_trivial():
 
 
 def test_mixed_module_arithmetic_rejected():
-    with pytest.raises(MixedContextError):
-        real_value(1) + delta(LP, (F2.identity(), "e"))
+    other = IndexedLp(FreeGroup(["a", "b"]), p=2, tags=("e",))
+    v = delta(LP, (F2.identity(), "e"))
+    w = delta(other, (other.group.identity(), "e"))
+    for left, right in ((real_value(1), v), (v, real_value(1)), (v, w)):
+        with pytest.raises(MixedContextError):
+            left + right
+        with pytest.raises(MixedContextError):
+            left - right
+
+
+def _random_vector(rng, module, indices):
+    # small numerators over a few denominators, so sums cancel to 0 often
+    return ModuleVector(
+        module,
+        {
+            idx: Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+            for idx in rng.sample(indices, rng.randint(0, len(indices)))
+        },
+    )
+
+
+def test_arithmetic_matches_public_constructor():
+    rng = random.Random(20240611)
+    lp_indices = [(g, "e") for g in ball_elements(F2, 1)]
+    modules = [(TrivialReals(), [()]), (LP, lp_indices)]
+    for module, indices in modules:
+        for _ in range(200):
+            a = _random_vector(rng, module, indices)
+            b = _random_vector(rng, module, indices)
+            keys = set(a.coeffs) | set(b.coeffs)
+            r = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            g = rng.choice(lp_indices)[0]
+            expected = [
+                (a + b, {i: a.coefficient(i) + b.coefficient(i) for i in keys}),
+                (a - b, {i: a.coefficient(i) - b.coefficient(i) for i in keys}),
+                (-a, {i: -c for i, c in a.coeffs.items()}),
+                (a.scale(r), {i: r * c for i, c in a.coeffs.items()}),
+                (a.scale(0), {i: 0 * c for i, c in a.coeffs.items()}),
+                (a.scale(1), dict(a.coeffs)),
+                (a.act(g), {module.act_index(g, i): c for i, c in a.coeffs.items()}),
+                (sum_vectors([a, b, -a], module), dict(b.coeffs)),
+            ]
+            for got, coeffs in expected:
+                assert got == ModuleVector(module, coeffs)
+                assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
 
 def test_delta_and_norm():

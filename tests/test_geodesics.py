@@ -80,7 +80,7 @@ def test_generic_geodesics_are_flagged_pruned():
     assert "upper bound" in geo.note
 
 
-def test_vertices_and_concat():
+def test_vertices():
     geo = geodesics(REL_X, F2.parse("y"), F2.parse("y x^2"))
     path = geo.geodesics[0]
     verts = path.vertices()

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qcext
 from qcext import (
     FiniteTableGroup,
     FreeGroup,
@@ -17,7 +22,7 @@ from qcext import (
     exponent_vector,
     is_proper_power,
 )
-from qcext.errors import GroupTableError, UnknownGeneratorError
+from qcext.errors import GroupTableError, MixedContextError, UnknownGeneratorError
 from qcext.groups import as_fraction, ball_elements, enumerate_ball, is_cyclically_reduced
 
 
@@ -154,3 +159,55 @@ def test_as_fraction():
 @given(words())
 def test_word_pow_zero(a):
     assert (a**0).is_identity()
+
+
+def test_equal_groups_give_equal_elements_and_hashes():
+    # each pair: one element over two equal but distinct group objects
+    fa, fb = FreeGroup(["x", "y"]), FreeGroup(["x", "y"])
+    ca, cb = cyclic_group(3, "g"), cyclic_group(3, "g")
+    pa = FreeProduct([FreeGroup(["a"]), cyclic_group(2, "t")])
+    pb = FreeProduct([FreeGroup(["a"]), cyclic_group(2, "t")])
+    pairs = [
+        (fa.parse("x y^-1"), fb.parse("x y^-1")),
+        (ca.element("g2"), cb.element("g2")),
+        (pa.parse("a t a^-2"), pb.parse("a t a^-2")),
+    ]
+    for u, v in pairs:
+        assert u.group is not v.group and u.group == v.group
+        assert u == v and hash(u) == hash(v)
+        assert u * v.inverse() == u.group.identity()
+
+
+def test_same_payload_over_different_groups_is_unequal():
+    pairs = [
+        (FreeGroup(["x", "y"]).parse("x y"), FreeGroup(["a", "b"]).parse("a b")),
+        (cyclic_group(3, "g").element("g"), cyclic_group(3, "h").element("h")),
+        (
+            FreeProduct([FreeGroup(["a"]), cyclic_group(2, "t")]).parse("a t"),
+            FreeProduct([FreeGroup(["b"]), cyclic_group(2, "s")]).parse("b s"),
+        ),
+    ]
+    for u, v in pairs:
+        assert u != v
+        with pytest.raises(MixedContextError):
+            u * v
+
+
+def test_hash_does_not_depend_on_hash_seed():
+    src = str(Path(qcext.__file__).resolve().parent.parent)
+    code = (
+        "from qcext import FreeGroup, FreeProduct, cyclic_group\n"
+        "F = FreeGroup(['x', 'y'])\n"
+        "P = FreeProduct([F, cyclic_group(2, 't')])\n"
+        "print(hash(F.parse('x y^-1')), hash(P.parse('x t y')),"
+        " hash(cyclic_group(3).element('g2')))\n"
+    )
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
