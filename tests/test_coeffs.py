@@ -40,6 +40,11 @@ def test_trivial_action_is_trivial():
 
 
 def test_mixed_module_arithmetic_rejected():
+    with pytest.raises(MixedContextError):
+        real_value(1) + delta(LP, (F2.identity(), "e"))
+
+
+def test_mixed_modules_rejected_by_add_and_sub():
     other = IndexedLp(FreeGroup(["a", "b"]), p=2, tags=("e",))
     v = delta(LP, (F2.identity(), "e"))
     w = delta(other, (other.group.identity(), "e"))
