@@ -59,6 +59,7 @@ from .geodesics import (
     distance,
     distance_map,
     free_ball_words,
+    geodesic_routes,
     geodesics,
     penetration,
 )

@@ -390,6 +390,14 @@ class FreeRelCyclicSpec:
             raise DomainError("C must be nonnegative")
         self.budget = budget or SearchBudget()
         self._w_inv = w.inverse()
+        # Edge letters are built once per spec: the ambient letters by code
+        # (x, x^-1, y, y^-1, ...) and the subgroup letters by power, on demand.
+        self.ambient_letters = {
+            code: XLetter(group, code)
+            for i in range(1, len(group.gens) + 1)
+            for code in (i, -i)
+        }
+        self._power_letters: dict[int, HLetter] = {}
 
     def __repr__(self):
         return f"FreeRelCyclicSpec(F({', '.join(self.group.gens)}) rel <{self.w}>)"
@@ -404,11 +412,7 @@ class FreeRelCyclicSpec:
         return self.group.parse(text)
 
     def generating_letters(self) -> list[XLetter]:
-        out = []
-        for i in range(1, len(self.group.gens) + 1):
-            out.append(XLetter(self.group, i))
-            out.append(XLetter(self.group, -i))
-        return out
+        return list(self.ambient_letters.values())
 
     def power_of(self, g: FreeWord) -> int | None:
         """k with g = w^k, or None.  Powers of a cyclically reduced w
@@ -435,11 +439,19 @@ class FreeRelCyclicSpec:
         base = self.w if k >= 0 else self._w_inv
         return FreeWord(self.group, base.letters * abs(k))
 
+    def power_letter(self, k: int) -> HLetter:
+        """The subgroup letter of w^k (k != 0), built once per power."""
+        letter = self._power_letters.get(k)
+        if letter is None:
+            letter = HLetter(self.lam_name, self.subgroup_element(k), power=k)
+            self._power_letters[k] = letter
+        return letter
+
     def subgroup_letter(self, lam: str, h: FreeWord) -> HLetter:
         k = self.power_of(h)
         if k is None or k == 0:
             raise DomainError(f"{h} is not a nontrivial power of {self.w}")
-        return HLetter(self.lam_name, h, power=k)
+        return self.power_letter(k)
 
     def coset_rep(self, g: FreeWord, lam: str | None = None) -> FreeWord:
         """Representative of g<w> minimizing (length, letters)."""
@@ -677,7 +689,7 @@ def calibrate_c(
     both endpoints in its coset; edges labeled by ambient generators count
     as de-isolating (they are parallel to subgroup edges).
     """
-    from .geodesics import geodesics as enum_geodesics  # local: avoids an import cycle
+    from .geodesics import geodesic_routes  # local: avoids an import cycle
 
     if spec.family != "free_rel_cyclic":
         raise DomainError("calibration applies to the free_rel_cyclic family")
@@ -702,7 +714,7 @@ def calibrate_c(
         ok = True
         try:
             for i in range(n):
-                side = enum_geodesics(
+                side = geodesic_routes(
                     spec, corners[i], corners[(i + 1) % n], budget=budget
                 )
                 if not side.geodesics:

@@ -85,6 +85,8 @@ def averaged_value(spec, lam: str, q: QuasiCocycle, pairs) -> ModuleVector:
     vecs = [r(u, v) for u, v in pairs]
     if not vecs:
         raise DomainError("no entrance/exit pairs to average")
+    if len(vecs) == 1:
+        return vecs[0]  # the mean of one vector, without a scale by 1
     return sum_vectors(vecs, q.module).scale(Fraction(1, len(vecs)))
 
 

@@ -10,7 +10,20 @@ and multiply on the right.  Three engines back `geodesics`:
 * generic cyclic word: pruned breadth-first search with a predecessor DAG
   and ordered enumeration of all geodesics found under the caps.
 
-Closed forms report exhaustive=True; the pruned search never does.
+Closed forms report exhaustive=True unless `max_geodesics` cuts the listing
+short; the pruned search never does.
+
+A route is a geodesic standing for every geodesic with its vertex tuple.
+Separation, the triangle partition and calibration read only vertices or
+the first spelling, so they ask `geodesic_routes`, which lists one path per
+distinct vertex tuple.  For a basis letter every spelling shares one vertex
+tuple (the two edges of a +-1 run join the same vertices), so the route is
+one path, built letter by letter from the first choice of each block, and it
+is exhaustive whatever `max_geodesics` is; `geodesics` expands it into the
+2^(number of +-1 runs) spellings.  Free-product and generic-engine paths
+already have pairwise distinct vertex tuples (an ambient letter and a
+subgroup letter share an element only when |w| = 1), so there the routes
+are the geodesics.
 
 One breadth-first search kernel, `_bfs` over byte-encoded reduced words,
 runs every coned-graph search of the relative family: the generic engine
@@ -27,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 from .embedding import HLetter, SearchBudget, XLetter
@@ -83,7 +97,11 @@ class CayleyPath:
 
 @dataclass(frozen=True)
 class GeodesicSet:
-    """Result of a geodesic query between two fixed vertices."""
+    """Result of a geodesic query between two fixed vertices.
+
+    From `geodesics`, exhaustive means every geodesic is listed; from
+    `geodesic_routes`, that every geodesic's vertex tuple is listed.
+    """
 
     distance: int
     geodesics: tuple
@@ -101,6 +119,19 @@ def geodesics(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
     if spec.is_basis:
         return _basis_geodesics(spec, f, g, budget)
     return _generic_geodesics(spec, f, g, budget)
+
+
+def geodesic_routes(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
+    """One geodesic from f to g per distinct vertex tuple, each spelled as
+    `geodesics` spells its first path with those vertices."""
+    if spec.family != "free_product" and spec.is_basis:
+        letters, verts = _basis_route(spec, f, g)
+        return GeodesicSet(
+            distance=len(letters),
+            geodesics=(CayleyPath(f, letters, verts),),
+            exhaustive=True,
+        )
+    return geodesics(spec, f, g, budget=budget)
 
 
 def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
@@ -121,66 +152,64 @@ def _free_product_geodesics(spec, f, g) -> GeodesicSet:
     )
 
 
-def _basis_blocks(spec, u: FreeWord) -> list[list]:
-    """Per-edge letter choices for the closed-form engine, in path order."""
-    wc = abs(spec.w.letters[0])
+def _basis_route(spec, f, g) -> tuple[tuple, tuple]:
+    """The closed-form route from f to g: one letter per block of u = f^-1 g
+    (a maximal run of the basis letter, or one other letter), the ambient
+    letter standing for a run of exponent +-1, and the vertex tuple that
+    every geodesic shares."""
     group = spec.group
-    blocks: list[list] = []
+    ls = (f.inverse() * g).letters
+    fl = f.letters
+    n = len(fl)
+    # f * u[:p] cancels min(p, cut) letters, where cut letters of u cancel
+    # against the tail of f; so each vertex is a slice of f plus one of u.
+    cut = 0
+    while cut < len(ls) and cut < n and fl[n - 1 - cut] == -ls[cut]:
+        cut += 1
+    wcode = spec.w.letters[0]
+    ambient = spec.ambient_letters
+    letters = []
+    verts = [f]
     i = 0
-    ls = u.letters
     while i < len(ls):
-        if abs(ls[i]) != wc:
-            blocks.append([XLetter(group, ls[i])])
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(ls) and abs(ls[j + 1]) == wc:
-            j += 1
-        # u is reduced, so the run is all one sign: k = signed run length
-        k = (j - i + 1) * (1 if ls[i] > 0 else -1)
-        choices = []
-        if abs(k) == 1:
-            choices.append(XLetter(group, ls[i]))
-        choices.append(HLetter(spec.lam_name, spec.subgroup_element(k), power=k))
-        blocks.append(choices)
-        i = j + 1
-    return blocks
+        j = i + 1
+        if abs(ls[i]) == abs(wcode):
+            # u is reduced, so the run is all one sign
+            while j < len(ls) and ls[j] == ls[i]:
+                j += 1
+        if j - i == 1:
+            letters.append(ambient[ls[i]])
+        else:
+            # the run is w^(j - i) or w^(i - j), whatever the sign of w
+            letters.append(spec.power_letter(j - i if ls[i] == wcode else i - j))
+        m = min(j, cut)
+        verts.append(FreeWord(group, fl[: n - m] + ls[m:j]))
+        i = j
+    return tuple(letters), tuple(verts)
 
 
 def _basis_geodesics(spec, f, g, budget: SearchBudget) -> GeodesicSet:
-    u = f.inverse() * g
-    blocks = _basis_blocks(spec, u)
-    # Every geodesic passes through the block boundary vertices; between
-    # consecutive boundaries there is exactly one edge per listed choice,
-    # and all choices of a block have the same element.  So every path
-    # shares one vertex tuple.
-    verts = [f]
-    for choices in blocks:
-        verts.append(verts[-1] * choices[0].elem)
-    verts = tuple(verts)
-    paths: list[CayleyPath] = []
-    truncated = False
-
-    def rec(i: int, acc: list) -> bool:
-        nonlocal truncated
-        if i == len(blocks):
-            paths.append(CayleyPath(f, tuple(acc), verts))
-            if len(paths) >= budget.max_geodesics:
-                truncated = True
-                return False
-            return True
-        for letter in blocks[i]:
-            acc.append(letter)
-            keep = rec(i + 1, acc)
-            acc.pop()
-            if not keep:
-                return False
-        return True
-
-    rec(0, [])
+    letters, verts = _basis_route(spec, f, g)
+    # A +-1 run of the basis letter is spelled by the ambient letter or by
+    # the subgroup letter w^+-1; both edges join the same two vertices.
+    wcode = spec.w.letters[0]
+    blocks = [
+        (letter, spec.power_letter(1 if letter.code == wcode else -1))
+        if isinstance(letter, XLetter) and abs(letter.code) == abs(wcode)
+        else (letter,)
+        for letter in letters
+    ]
+    # The listing stops once it holds max_geodesics paths (at least one)
+    # and is then flagged truncated, even if nothing was left out.
+    cap = budget.max_geodesics
+    paths = tuple(
+        CayleyPath(f, spelling, verts)
+        for spelling in islice(product(*blocks), max(cap, 1))
+    )
+    truncated = len(paths) >= cap
     return GeodesicSet(
         distance=len(blocks),
-        geodesics=tuple(paths),
+        geodesics=paths,
         exhaustive=not truncated,
         truncated=truncated,
     )
@@ -214,16 +243,14 @@ def _search_moves(spec, max_power: int) -> list:
     """(letter, byte-word, is-subgroup-move) triples in the deterministic
     letter order: each ambient generator and its inverse, then w^k and w^-k
     for k = 1 .. max_power."""
-    group = spec.group
-    moves = []
-    for i in range(1, len(group.gens) + 1):
-        for code in (i, -i):
-            letter = XLetter(group, code)
-            moves.append((letter, _to_bytes(letter.elem), False))
+    moves = [
+        (letter, _to_bytes(letter.elem), False)
+        for letter in spec.ambient_letters.values()
+    ]
     for a in range(1, max_power + 1):
         for k in (a, -a):
-            h = spec.subgroup_element(k)
-            moves.append((HLetter(spec.lam_name, h, power=k), _to_bytes(h), True))
+            letter = spec.power_letter(k)
+            moves.append((letter, _to_bytes(letter.elem), True))
     return moves
 
 

@@ -29,7 +29,7 @@ from .errors import (
     NotSeparatingError,
     PartitionNotFoundError,
 )
-from .geodesics import CayleyPath, GeodesicSet, geodesics, path_has_edge_in_coset
+from .geodesics import CayleyPath, GeodesicSet, geodesic_routes, path_has_edge_in_coset
 from .groups import as_fraction
 
 
@@ -127,8 +127,10 @@ def separation_report(
 ) -> dict:
     """Separating cosets for every requested subgroup label in one pass.
 
-    Returns {lam: SeparatingCosets}.  The geodesic enumeration is shared
-    across labels; pass `geo` to reuse one computed elsewhere.
+    Returns {lam: SeparatingCosets}.  Separation reads only the vertices of
+    the geodesics, so by default it walks `geodesic_routes`, one path per
+    distinct vertex tuple, shared across labels; pass `geo` to reuse a
+    listing computed elsewhere (routes or all geodesics give one report).
     """
     c = _resolve_c(spec, c_value)
     lams = tuple(lams) if lams is not None else spec.lambdas()
@@ -140,7 +142,7 @@ def separation_report(
             trivial_lams.append(lam)
     geo_needed = [lam for lam in lams if lam not in trivial_lams]
     if geo is None and geo_needed and f != g:
-        geo = geodesics(spec, f, g, budget=budget)
+        geo = geodesic_routes(spec, f, g, budget=budget)
 
     for lam in lams:
         if lam in trivial_lams:
@@ -184,7 +186,7 @@ def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) ->
     # membership is decided once per distinct letter element.  Everything
     # below depends on the vertices alone, so a path with the same vertex
     # tuple as the path before it would replay the same updates and is
-    # skipped (the closed-form engine hands one tuple to all its paths).
+    # skipped (all spellings of a closed-form geodesic share one tuple).
     member: dict = {}
     prev = None
     # per distinct edge (u, v): its coset rep, and its width once measured
@@ -324,7 +326,7 @@ def triangle_partition(
         return TrianglePartition(
             front=s_fg.cosets, from_fh=(), from_hg=(), pivot=-1, verified=True
         )
-    geo_fh = geodesics(spec, f, h, budget=budget)
+    geo_fh = geodesic_routes(spec, f, h, budget=budget)
     side = geo_fh.geodesics[0] if geo_fh.geodesics else CayleyPath(f)
     pivot = -1
     for j, coset in enumerate(s_fg.cosets):

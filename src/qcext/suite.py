@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .coeffs import zero
 from .embedding import seeded_rng
@@ -23,7 +24,7 @@ from .extension import (
     extend,
     k_constant,
 )
-from .geodesics import geodesics, penetration
+from .geodesics import geodesic_routes, geodesics, penetration
 from .groups import FiniteTableGroup, FreeGroup, enumerate_ball
 from .qc import coboundary1
 from .separating import _resolve_c, separation_report, triangle_partition
@@ -57,12 +58,14 @@ class CheckResult:
     skipped: bool = False
     note: str = ""
 
-    def record(self, ok: bool, witness: str) -> None:
+    def record(self, ok: bool, witness: Callable[[], str]) -> None:
+        """Count one instance; `witness()` describes it, and is called only
+        for a violation that is still kept (at most five)."""
         self.instances += 1
         if not ok:
             self.violations += 1
             if len(self.witnesses) < 5:
-                self.witnesses.append(witness)
+                self.witnesses.append(witness())
 
     @property
     def passed(self) -> bool:
@@ -174,15 +177,17 @@ def run_full_suite(
     owed = Counter(pen_pairs)
 
     # (f, g) -> (distance, separation report): each ordered pair's geodesics
-    # are enumerated once; `held` keeps them only for a pair still owed a
-    # penetration check
+    # are enumerated once, and listed in every spelling only for a pair owed
+    # a penetration check (separation reads routes alone); `held` keeps the
+    # listing while the pair is still owed
     cache: dict[tuple, tuple] = {}
     held: dict = {}
 
     def dist_and_report(f, g):
         key = (f, g)
         if key not in cache:
-            geo = geodesics(spec, f, g, budget=budget)
+            find = geodesics if owed[key] else geodesic_routes
+            geo = find(spec, f, g, budget=budget)
             cache[key] = (
                 geo.distance,
                 separation_report(spec, f, g, c_value=c, budget=budget, geo=geo),
@@ -208,7 +213,7 @@ def run_full_suite(
                     pen = penetration(spec, path, lam, coset.rep)
                     results["penetration-consistency"].record(
                         pen is not None and pen in pairs,
-                        f"geodesic misses {coset} for ({f},{g})",
+                        lambda: f"geodesic misses {coset} for ({f},{g})",
                     )
                 if not sep.trivial:
                     for u, v in pairs:
@@ -219,7 +224,7 @@ def run_full_suite(
                         verdict = verdict or not d_uv.is_finite()
                         results["entrance-exit-3c"].record(
                             bool(verdict),
-                            f"gap {d_uv} not above {3 * c} at {coset} of ({f},{g})",
+                            lambda: f"gap {d_uv} not above {3 * c} at {coset} of ({f},{g})",
                         )
 
     # separation laws over every pair, penetration over its prefix
@@ -230,15 +235,15 @@ def run_full_suite(
             s_fg, s_gf = rep_fg[lam], rep_gf[lam]
             results["separating-symmetry"].record(
                 set(s_fg.cosets) == set(s_gf.cosets),
-                f"S({f},{g};{lam}) != S({g},{f};{lam})",
+                lambda: f"S({f},{g};{lam}) != S({g},{f};{lam})",
             )
             results["separating-order"].record(
                 all(a < b for a, b in zip(s_fg.distances, s_fg.distances[1:])),
-                f"distances not increasing for ({f},{g};{lam})",
+                lambda: f"distances not increasing for ({f},{g};{lam})",
             )
             results["cardinality-bound"].record(
                 len(s_fg) <= dist,
-                f"|S|={len(s_fg)} exceeds d={dist} for ({f},{g};{lam})",
+                lambda: f"|S|={len(s_fg)} exceeds d={dist} for ({f},{g};{lam})",
             )
         if n < len(pen_pairs):
             penetration_checks(f, g, rep_fg)
@@ -260,7 +265,7 @@ def run_full_suite(
                 for i, coset in enumerate(rep_t[lam].cosets)
             }
             results["separating-equivariance"].record(
-                expect == got, f"t*S != S(t.) for ({f},{g};{lam}), t={t}"
+                expect == got, lambda: f"t*S != S(t.) for ({f},{g};{lam}), t={t}"
             )
 
     # triangle partitions: all small triples plus samples
@@ -285,7 +290,7 @@ def run_full_suite(
             except PartitionNotFoundError:
                 ok = False
             results["triangle-partition"].record(
-                ok, f"partition failed for ({f},{g},{h};{lam})"
+                ok, lambda: f"partition failed for ({f},{g},{h};{lam})"
             )
 
     if cocycles is None:
@@ -311,7 +316,7 @@ def run_full_suite(
             area = r(u, v) + r(v, w) - r(u, w)
             results["elementary-area-bound"].record(
                 area.norm_leq_exact(d_val),
-                f"elementary area at ({u},{v},{w};{lam}) exceeds {d_val}",
+                lambda: f"elementary area at ({u},{v},{w};{lam}) exceeds {d_val}",
             )
         for n in range(2, chain_max + 1):
             for _ in range(max(20, samples // 10)):
@@ -322,7 +327,7 @@ def run_full_suite(
                 gap = total - r(chain[0], chain[-1])
                 results["chain-telescoping-bound"].record(
                     gap.norm_leq_exact((n - 1) * d_val),
-                    f"chain of length {n} at {lam} exceeds {(n - 1) * d_val}",
+                    lambda: f"chain of length {n} at {lam} exceeds {(n - 1) * d_val}",
                 )
 
     # averaged-value laws over pairs with nonempty separation
@@ -342,7 +347,7 @@ def run_full_suite(
                     gap = r_av - r(u, v)
                     results["averaged-value-bound"].record(
                         gap.norm_leq_exact(2 * d_val + 2 * k_val),
-                        f"averaged value at {coset} of ({f},{g}) drifts past 2D+2K",
+                        lambda: f"averaged value at {coset} of ({f},{g}) drifts past 2D+2K",
                     )
                 if q.antisymmetric and coset in rep_gf[lam].cosets:
                     back = averaged_value(
@@ -350,7 +355,7 @@ def run_full_suite(
                     )
                     results["averaged-value-bound"].record(
                         back == -r_av,
-                        f"averaged value not antisymmetric at {coset} of ({f},{g})",
+                        lambda: f"averaged value not antisymmetric at {coset} of ({f},{g})",
                     )
 
     # combed bicombing area over sampled triangles
@@ -368,7 +373,7 @@ def run_full_suite(
             )
             results["combed-area-bound"].record(
                 area.norm_leq_exact(66 * d_val + 54 * k_val),
-                f"combed area at ({f},{g},{h};{lam}) exceeds 66D+54K",
+                lambda: f"combed area at ({f},{g},{h};{lam}) exceeds 66D+54K",
             )
 
     # the extension itself: restriction and certificate
@@ -377,7 +382,7 @@ def run_full_suite(
     for lam, q in sorted(cocycles.items()):
         for h in _subgroup_samples(spec, lam, srng, max(40, samples // 10)):
             results["restriction-identity"].record(
-                ext.iota(h) == q(h), f"iota({h}) != q({h}) at {lam}"
+                ext.iota(h) == q(h), lambda: f"iota({h}) != q({h}) at {lam}"
             )
 
     drng = seeded_rng(seed, "suite:defect")
@@ -387,7 +392,7 @@ def run_full_suite(
         gap = coboundary1(ext.iota)(g1, g2)
         results["extension-defect-certificate"].record(
             gap.norm_leq_exact(cert),
-            f"defect at ({g1},{g2}) exceeds the certificate {cert}",
+            lambda: f"defect at ({g1},{g2}) exceeds the certificate {cert}",
         )
     ext.sync_notes()
 

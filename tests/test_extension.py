@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from qcext import (
     FreeProduct,
     FreeProductPairSpec,
     FreeRelCyclicSpec,
+    IndexedLp,
     QuasiCocycle,
     SearchBudget,
+    TrivialReals,
     asnec_demo,
     averaged_value,
     brooks,
@@ -28,6 +31,10 @@ from qcext import (
     tree_edge_cocycle,
 )
 from qcext.errors import CertificateError, DomainError, MixedContextError
+from qcext.qc import half_sign
+
+# the package's `geodesics` attribute is the function, not the module
+geodesics_module = importlib.import_module("qcext.geodesics")
 
 F2 = FreeGroup(["x", "y"])
 REL_X = FreeRelCyclicSpec(F2, F2.parse("x"))
@@ -222,3 +229,45 @@ def test_asnec_demo_rows_and_rerun():
     sym = out["symmetrized"]
     assert sym["certificate"]["value"] == "33"
     assert sym["defect_within_certificate"]
+
+
+def test_averaged_value_of_one_pair_is_its_bicombing():
+    q = cyclic_homomorphism(REL_X)
+    assert isinstance(q.module, TrivialReals)
+    r = elementary_bicombing(REL_X, "C", q)
+    u, v = F2.parse("y x^-2"), F2.parse("y x^3")
+    assert averaged_value(REL_X, "C", q, [(u, v)]) == r(u, v)
+    spec = fp_spec()
+    G = spec.group
+    tree = tree_edge_cocycle(spec, "A")
+    r = elementary_bicombing(spec, "A", tree)
+    u, v = G.parse("b a"), G.parse("b a^3")
+    assert isinstance(tree.module, IndexedLp)
+    assert averaged_value(spec, "A", tree, [(u, v)]) == r(u, v)
+    assert averaged_value(spec, "A", tree, [(u, v), (u, v)]) == r(u, v)
+
+
+def test_long_basis_word_evaluates_unconditionally():
+    res = extend(REL_X, {"C": half_sign(REL_X)})
+    assert res.iota(F2.parse("x y") ** 15).scalar() == Fraction(15, 2)
+    res.sync_notes()
+    assert not res.conditional
+    assert res.conditional_reasons == []
+
+
+def test_basis_evaluation_lists_no_spellings(monkeypatch):
+    calls = []
+    spell = geodesics_module._basis_geodesics
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return spell(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics_module, "_basis_geodesics", counted)
+    res = extend(REL_X, {"C": half_sign(REL_X)})
+    for ls in _letters(3):
+        res.iota(F2.word(ls))
+    assert calls == []
+    # the counter sees a listing when one is asked for
+    geodesics_module.geodesics(REL_X, F2.identity(), F2.parse("y x"))
+    assert len(calls) == 1

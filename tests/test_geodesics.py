@@ -13,11 +13,14 @@ from qcext import (
     components,
     distance,
     free_ball_words,
+    geodesic_routes,
     geodesics,
     penetration,
 )
+from qcext.embedding import HLetter
 from qcext.errors import NotGeodesicError
 from qcext.geodesics import CayleyPath, distance_map
+from qcext.suite import ball_domain
 
 
 F2 = FreeGroup(["x", "y"])
@@ -64,6 +67,54 @@ def test_single_letter_runs_have_both_spellings():
     dumps = {tuple(p.dump()) for p in geo.geodesics}
     assert ("X:y", "X:x", "X:y") in dumps
     assert ("X:y", "H:x", "X:y") in dumps
+
+
+def test_basis_route_is_the_first_spelling():
+    ball = list(free_ball_words(F2, 3))
+    for f in ball[::9]:
+        for g in ball:
+            geo = geodesics(REL_X, f, g)
+            routes = geodesic_routes(REL_X, f, g)
+            assert routes.exhaustive and not routes.truncated
+            assert routes.distance == geo.distance
+            assert routes.geodesics == geo.geodesics[:1]
+            # the vertices sliced from f and u = f^-1 g are the products
+            route = routes.geodesics[0]
+            rebuilt = [f]
+            for letter in route.letters:
+                rebuilt.append(rebuilt[-1] * letter.elem)
+            assert route.vertices() == tuple(rebuilt) == geo.geodesics[0].vertices()
+            assert rebuilt[-1] == g
+
+
+def test_routes_are_the_geodesics_off_the_closed_form():
+    # an ambient and a subgroup letter share an element only when |w| = 1,
+    # so these paths already have pairwise distinct vertex tuples
+    spec = fp_spec()
+    cases = [(spec, g) for g in ball_domain(spec, 2)]
+    cases += [(REL_XY, g) for g in free_ball_words(F2, 2)]
+    for sp, g in cases:
+        geo = geodesics(sp, sp.identity(), g)
+        assert geodesic_routes(sp, sp.identity(), g) == geo
+        assert len({p.vertices() for p in geo.geodesics}) == len(geo.geodesics)
+
+
+def test_negative_basis_letter_spells_its_own_powers():
+    # <x^-1> = <x>: same distances, and every subgroup letter is the power
+    # of w that its edge spans
+    rel_xinv = FreeRelCyclicSpec(F2, F2.parse("x^-1"))
+    one = F2.identity()
+    for g in free_ball_words(F2, 3):
+        geo = geodesics(rel_xinv, one, g)
+        assert geo.distance == distance(REL_X, one, g)
+        for path in geo.geodesics:
+            rebuilt = [path.origin]
+            for letter in path.letters:
+                rebuilt.append(rebuilt[-1] * letter.elem)
+                if isinstance(letter, HLetter):
+                    assert letter.elem == rel_xinv.subgroup_element(letter.power)
+            assert tuple(rebuilt) == path.vertices()
+            assert rebuilt[-1] == g
 
 
 def test_generic_distances_frozen():

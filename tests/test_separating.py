@@ -250,3 +250,40 @@ def test_basis_geodesics_share_one_vertex_tuple():
             for letter in path.letters:
                 rebuilt.append(rebuilt[-1] * letter.elem)
             assert shared == tuple(rebuilt)
+
+
+def test_routes_and_full_listing_give_one_report():
+    one = F2.identity()
+    origins = [one, F2.parse("y"), F2.parse("x^-1 y")]
+    for f in origins:
+        for g in free_ball_words(F2, 4):
+            geo = geodesics(REL_X, f, g)
+            for c in (Fraction(0), Fraction(1)):
+                assert separation_report(REL_X, f, g, c_value=c) == separation_report(
+                    REL_X, f, g, c_value=c, geo=geo
+                ), (str(f), str(g), c)
+
+
+def test_long_basis_word_separation_is_exhaustive():
+    # (x y)^15 has 15 runs x^1, so 2^15 spellings: the listing stops at
+    # max_geodesics, the separation that reads one vertex tuple does not
+    g = F2.parse("x y") ** 15
+    geo = geodesics(REL_X, F2.identity(), g)
+    assert len(geo.geodesics) == 20_000
+    assert geo.truncated and not geo.exhaustive
+    sep = separation_report(REL_X, F2.identity(), g)["C"]
+    assert sep.exhaustive
+    assert sep.distances == tuple(range(0, 30, 2))
+    assert sep.entrance_exits == separation_report(
+        REL_X, F2.identity(), g, geo=geo
+    )["C"].entrance_exits
+
+
+def test_negative_basis_letter_separates_like_its_inverse():
+    # <x^-1> = <x>, so both specs see the same cosets and pairs
+    rel_xinv = FreeRelCyclicSpec(F2, F2.parse("x^-1"))
+    for g in free_ball_words(F2, 3):
+        assert_matches_reference(rel_xinv, g)
+        a = separation_report(rel_xinv, F2.identity(), g)["C"]
+        b = separation_report(REL_X, F2.identity(), g)["C"]
+        assert (a.cosets, a.entrance_exits) == (b.cosets, b.entrance_exits), str(g)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 from qcext import separating, suite
 from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec, spec_from_json
 from qcext.groups import FreeGroup, FreeProduct
 from qcext.qc import cyclic_homomorphism
-from qcext.suite import ALL_CHECKS, EXTENSION_CHECKS, SEP_CHECKS, run_full_suite
+from qcext.suite import ALL_CHECKS, EXTENSION_CHECKS, SEP_CHECKS, CheckResult, run_full_suite
 
 
 def rel_spec():
@@ -95,9 +96,80 @@ def test_suite_enumerates_each_pair_once(monkeypatch):
             inside_partition.pop()
 
     monkeypatch.setattr(suite, "geodesics", counted)
-    monkeypatch.setattr(separating, "geodesics", counted)
+    monkeypatch.setattr(suite, "geodesic_routes", counted)
+    monkeypatch.setattr(separating, "geodesic_routes", counted)
     monkeypatch.setattr(suite, "triangle_partition", uncounted_partition)
     out = run_full_suite(rel_spec(), samples=40, radius=2)
     assert out["all_passed"]
     assert counts
     assert max(counts.values()) == 1
+
+
+def test_witness_is_built_only_for_a_kept_violation():
+    built = []
+
+    def witness(n):
+        def text():
+            built.append(n)
+            return f"witness {n}"
+        return text
+
+    check = CheckResult("demo")
+    check.record(True, witness(0))
+    for n in range(1, 8):
+        check.record(False, witness(n))
+    assert (check.instances, check.violations) == (8, 7)
+    assert built == [1, 2, 3, 4, 5]
+    assert check.witnesses == [f"witness {n}" for n in range(1, 6)]
+
+
+def test_failing_generic_suite_report_is_pinned():
+    # C = 4/3 on rel <xy>: essentiality keeps every pair of a coset once one
+    # pair clears 3C, and the entrance-exit check holds each pair to 3C
+    spec = spec_from_json({
+        "family": "free_rel_cyclic", "gens": ["x", "y"], "w": "x y",
+        "budget": {"max_vertices": 20000, "max_power": 6},
+    })
+    out = run_full_suite(spec, c_value=Fraction(4, 3), samples=0, radius=2)
+    counts = {
+        "separating-symmetry": (272, 0),
+        "separating-equivariance": (0, 0),
+        "separating-order": (272, 0),
+        "cardinality-bound": (272, 0),
+        "penetration-consistency": (20, 0),
+        "entrance-exit-3c": (8, 6),
+        "triangle-partition": (100, 0),
+    }
+    gaps = [
+        ("4", "(x^-1 y^-1,y x)"),
+        ("2", "(x^-1 y^-1,y x)"),
+        ("4", "(x^-1 y^-1,y x)"),
+        ("2", "(y x,x^-1 y^-1)"),
+        ("4", "(y x,x^-1 y^-1)"),
+    ]
+    witnesses = {
+        "entrance-exit-3c": [
+            f"gap {d} (upper bound) not above 4 at x^-1*H[C] of {pair}" for d, pair in gaps
+        ],
+    }
+    checks = {}
+    for name in ALL_CHECKS:
+        instances, violations = counts.get(name, (0, 0))
+        skipped = name in EXTENSION_CHECKS
+        checks[name] = {
+            "name": name,
+            "instances": instances,
+            "violations": violations,
+            "witnesses": witnesses.get(name, []),
+            "skipped": skipped,
+            "passed": skipped or violations == 0,
+            "note": "no cocycle inputs supplied" if skipped else "",
+        }
+    assert out == {
+        "family": "free_rel_cyclic",
+        "C": "4/3",
+        "checks": checks,
+        "all_passed": False,
+        "total_instances": 944,
+        "total_violations": 6,
+    }
