@@ -20,12 +20,10 @@ from .embedding import (
     RelativeDistance,
     SearchBudget,
     calibrate_c,
-    check_local_finiteness,
     seeded_rng,
     spec_from_json,
 )
 from .errors import (
-    BallCapError,
     BudgetExhaustedError,
     CertificateError,
     ConfigError,
@@ -55,7 +53,6 @@ from .geodesics import (
     CayleyPath,
     GeodesicSet,
     brute_force_distance_oracle,
-    components,
     distance,
     distance_map,
     free_ball_words,
@@ -89,10 +86,8 @@ from .qc import (
     cyclic_homomorphism,
     defect,
     embed_on_factor,
-    homogenize_numeric,
     step_quasimorphism,
     tree_edge_cocycle,
-    zero_cocycle,
 )
 from .scl import (
     NiceGeneratingSet,
@@ -110,8 +105,6 @@ from .separating import (
     Coset,
     SeparatingCosets,
     TrianglePartition,
-    entrance_exit_set,
-    separating_cosets,
     separation_report,
     triangle_partition,
 )

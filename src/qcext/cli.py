@@ -86,10 +86,7 @@ def _load_config(path: str) -> dict:
 def _budget(config: dict) -> SearchBudget | None:
     if "budget" not in config:
         return None
-    raw = config["budget"]
-    if not isinstance(raw, dict):
-        raise ConfigError("budget must be an object")
-    return SearchBudget.from_json(raw)
+    return SearchBudget.from_json(config["budget"])
 
 
 def _c_value(config: dict):

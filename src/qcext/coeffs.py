@@ -21,7 +21,7 @@ are the operands' own and every stored coefficient is a nonzero Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, MixedContextError
 from .groups import as_fraction
@@ -195,12 +195,6 @@ class ModuleVector:
         p = self.module.p
         return sum((abs(c) ** p for c in self.coeffs.values()), Fraction(0))
 
-    def norm(self) -> float:
-        power = self.norm_pth_power()
-        if self.module.p == 1:
-            return float(power)
-        return float(power) ** (1.0 / self.module.p)
-
     def norm_leq_exact(self, bound) -> bool:
         """Exact test ||v||_p <= bound, done on p-th powers."""
         bound = as_fraction(bound)
@@ -239,13 +233,6 @@ def delta(module, idx, coeff=Fraction(1)) -> ModuleVector:
 def real_value(r, module: TrivialReals | None = None) -> ModuleVector:
     """Wrap an exact rational as a TrivialReals vector."""
     return ModuleVector(module or TrivialReals(), {(): as_fraction(r)})
-
-
-def project_to_submodule(vec: ModuleVector, keep: Callable) -> ModuleVector:
-    """Restrict a vector to the indices the predicate keeps."""
-    return ModuleVector(
-        vec.module, {i: c for i, c in vec.coeffs.items() if keep(i)}
-    )
 
 
 def sum_vectors(vectors: Iterable[ModuleVector], module=None) -> ModuleVector:

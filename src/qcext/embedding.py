@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    BallCapError,
     BudgetExhaustedError,
     ConfigError,
     DomainError,
@@ -140,31 +139,23 @@ class SearchBudget:
     slack: int = 2
 
     def to_json(self) -> dict:
-        return {
-            "max_vertices": self.max_vertices,
-            "max_depth": self.max_depth,
-            "max_power": self.max_power,
-            "max_geodesics": self.max_geodesics,
-            "slack": self.slack,
-        }
+        return {key: getattr(self, key) for key in _BUDGET_KEYS}
 
     @staticmethod
     def from_json(data: dict) -> SearchBudget:
         if not isinstance(data, dict):
             raise ConfigError("budget must be an object")
-        kwargs = {}
-        for key in ("max_vertices", "max_depth", "max_power", "max_geodesics", "slack"):
-            if key in data:
-                v = data[key]
-                if not isinstance(v, int) or v < 0:
-                    raise ConfigError(f"budget.{key} must be a nonnegative integer")
-                kwargs[key] = v
-        extra = set(data) - {
-            "max_vertices", "max_depth", "max_power", "max_geodesics", "slack",
-        }
+        for key in _BUDGET_KEYS:
+            v = data.get(key, 0)
+            if not isinstance(v, int) or v < 0:
+                raise ConfigError(f"budget.{key} must be a nonnegative integer")
+        extra = set(data) - set(_BUDGET_KEYS)
         if extra:
             raise ConfigError(f"unknown budget keys {sorted(extra)}")
-        return SearchBudget(**kwargs)
+        return SearchBudget(**data)
+
+
+_BUDGET_KEYS = tuple(f.name for f in fields(SearchBudget))
 
 
 INFINITE = "infinite"
@@ -260,20 +251,12 @@ class FreeProductPairSpec:
     def parse(self, text: str) -> FreeProductElement:
         return self.group.parse(text)
 
-    def generating_letters(self) -> list[XLetter]:
-        return []  # X is empty for this family
-
     def in_subgroup(self, g: FreeProductElement, lam: str) -> bool:
         if g.group != self.group:
             raise MixedContextError("element from a different group")
         if not g.syllables:
             return True
         return len(g.syllables) == 1 and g.syllables[0][0] == self._index[lam]
-
-    def subgroup_letter(self, lam: str, h: FreeProductElement) -> HLetter:
-        if not self.in_subgroup(h, lam) or h.is_identity():
-            raise DomainError(f"{h} is not a nontrivial element of {lam}")
-        return HLetter(lam, h)
 
     def coset_rep(self, g: FreeProductElement, lam: str) -> FreeProductElement:
         """Canonical representative of g H_lam: drop a trailing lam-syllable."""
@@ -337,24 +320,6 @@ class FreeProductPairSpec:
             return self.identity()
         return self.group.syllable(self._index[lam], h)
 
-    def describe(self) -> dict:
-        factors = []
-        for f in self.group.factors:
-            if isinstance(f, FreeGroup):
-                factors.append({"kind": "free", "gens": list(f.gens)})
-            else:
-                factors.append(
-                    {"kind": "table", "names": list(f.names),
-                     "table": [list(r) for r in f.table]}
-                )
-        return {
-            "family": self.family,
-            "factors": factors,
-            "names": list(self.names),
-            "C": str(self.c_value),
-            "budget": self.budget.to_json(),
-        }
-
 
 class FreeRelCyclicSpec:
     """F(S) with the cyclic subgroup generated by w, X = S."""
@@ -411,9 +376,6 @@ class FreeRelCyclicSpec:
     def parse(self, text: str) -> FreeWord:
         return self.group.parse(text)
 
-    def generating_letters(self) -> list[XLetter]:
-        return list(self.ambient_letters.values())
-
     def power_of(self, g: FreeWord) -> int | None:
         """k with g = w^k, or None.  Powers of a cyclically reduced w
         concatenate without cancellation, so this is a length check."""
@@ -446,12 +408,6 @@ class FreeRelCyclicSpec:
             letter = HLetter(self.lam_name, self.subgroup_element(k), power=k)
             self._power_letters[k] = letter
         return letter
-
-    def subgroup_letter(self, lam: str, h: FreeWord) -> HLetter:
-        k = self.power_of(h)
-        if k is None or k == 0:
-            raise DomainError(f"{h} is not a nontrivial power of {self.w}")
-        return self.power_letter(k)
 
     def coset_rep(self, g: FreeWord, lam: str | None = None) -> FreeWord:
         """Representative of g<w> minimizing (length, letters)."""
@@ -560,27 +516,8 @@ class FreeRelCyclicSpec:
     def random_subgroup_element(self, lam, rng: random.Random, size: int = 5) -> FreeWord:
         return self.subgroup_element(rng.randint(-size, size))
 
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "gens": list(self.group.gens),
-            "w": str(self.w),
-            "C": None if self.c_value is None else str(self.c_value),
-            "budget": self.budget.to_json(),
-        }
-
 
 EmbeddingSpec = FreeProductPairSpec | FreeRelCyclicSpec
-
-
-def check_local_finiteness(spec, lam: str, radius, cap: int = 10_000) -> RelBall:
-    """Enumerate the closed relative ball; error if the cap is exceeded."""
-    ball = spec.rel_ball(lam, radius, strict=False)
-    if len(ball.elements) > cap:
-        raise BallCapError(
-            f"local finiteness not confirmed at this budget (> {cap} elements)"
-        )
-    return ball
 
 
 def spec_from_json(data: dict):

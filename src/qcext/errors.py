@@ -29,10 +29,6 @@ class DomainError(QcextError):
     """An element lies outside the domain an operation requires."""
 
 
-class BallCapError(QcextError):
-    """A ball enumeration exceeded its element cap."""
-
-
 class BudgetExhaustedError(QcextError):
     """A graph search ran out of its vertex or depth budget."""
 

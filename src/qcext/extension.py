@@ -90,17 +90,13 @@ def averaged_value(spec, lam: str, q: QuasiCocycle, pairs) -> ModuleVector:
     return sum_vectors(vecs, q.module).scale(Fraction(1, len(vecs)))
 
 
-def combed_value(spec, lam: str, q: QuasiCocycle, f, g,
-                 c_value=None, budget=None) -> ModuleVector:
+def combed_value(spec, lam: str, q: QuasiCocycle, sep) -> ModuleVector:
     """The combed bicombing at (f, g): averaged values summed over the
-    separating cosets of the pair for one subgroup label."""
-    from .separating import separating_cosets
-
-    sep = separating_cosets(spec, f, g, lam, c_value=c_value, budget=budget)
-    out = zero(q.module)
-    for coset in sep.cosets:
-        out = out + averaged_value(spec, lam, q, sep.pairs(coset))
-    return out
+    separating cosets of one report `sep` = S_lam(f, g)."""
+    return sum_vectors(
+        (averaged_value(spec, lam, q, pairs) for pairs in sep.entrance_exits),
+        q.module,
+    )
 
 
 @dataclass
@@ -172,8 +168,7 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget, result_box: dict):
                     f"essentiality for {g} used upper-bound distances"
                 )
             result_box.setdefault("bands", []).extend(sep.band_excluded)
-            for pairs in sep.entrance_exits:
-                total = total + averaged_value(spec, lam, cocycles[lam], pairs)
+            total = total + combed_value(spec, lam, cocycles[lam], sep)
         return total
 
     return fn, module

@@ -14,16 +14,16 @@ Closed forms report exhaustive=True unless `max_geodesics` cuts the listing
 short; the pruned search never does.
 
 A route is a geodesic standing for every geodesic with its vertex tuple.
-Separation, the triangle partition and calibration read only vertices or
-the first spelling, so they ask `geodesic_routes`, which lists one path per
-distinct vertex tuple.  For a basis letter every spelling shares one vertex
-tuple (the two edges of a +-1 run join the same vertices), so the route is
-one path, built letter by letter from the first choice of each block, and it
-is exhaustive whatever `max_geodesics` is; `geodesics` expands it into the
-2^(number of +-1 runs) spellings.  Free-product and generic-engine paths
-already have pairwise distinct vertex tuples (an ambient letter and a
-subgroup letter share an element only when |w| = 1), so there the routes
-are the geodesics.
+Separation reads only vertices, and the triangle partition's f-h side and
+calibration only the first spelling, so they ask `geodesic_routes`, which
+lists one path per distinct vertex tuple.  For a basis letter every spelling
+shares one vertex tuple (the two edges of a +-1 run join the same vertices),
+so the route is one path, built letter by letter from the first choice of
+each block, and it is exhaustive whatever `max_geodesics` is; `geodesics`
+expands it into the 2^(number of +-1 runs) spellings.  Free-product and
+generic-engine paths already have pairwise distinct vertex tuples (an
+ambient letter and a subgroup letter share an element only when |w| = 1),
+so there the routes are the geodesics.
 
 One breadth-first search kernel, `_bfs` over byte-encoded reduced words,
 runs every coned-graph search of the relative family: the generic engine
@@ -63,10 +63,6 @@ class CayleyPath:
         self.letters = tuple(letters)
         self._verts = verts
 
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
     def vertices(self) -> tuple:
         if self._verts is None:
             out = [self.origin]
@@ -74,9 +70,6 @@ class CayleyPath:
                 out.append(out[-1] * letter.elem)
             self._verts = tuple(out)
         return self._verts
-
-    def endpoint(self):
-        return self.vertices()[-1]
 
     def dump(self) -> list[str]:
         return [str(letter) for letter in self.letters]
@@ -526,49 +519,7 @@ def brute_force_distance_oracle(
     raise BudgetExhaustedError("oracle found no path under its caps")
 
 
-# -- components and penetration -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathComponent:
-    """Maximal run of subgroup letters for one subgroup label."""
-
-    lam: str
-    start: int
-    end: int  # inclusive edge index
-    entrance: object
-    exit: object
-    rep: object
-
-
-def components(spec, path: CayleyPath, lam: str | None = None) -> list[PathComponent]:
-    verts = path.vertices()
-    out: list[PathComponent] = []
-    i = 0
-    while i < len(path.letters):
-        letter = path.letters[i]
-        if isinstance(letter, HLetter) and (lam is None or letter.lam == lam):
-            j = i
-            while (
-                j + 1 < len(path.letters)
-                and isinstance(path.letters[j + 1], HLetter)
-                and path.letters[j + 1].lam == letter.lam
-            ):
-                j += 1
-            out.append(
-                PathComponent(
-                    lam=letter.lam,
-                    start=i,
-                    end=j,
-                    entrance=verts[i],
-                    exit=verts[j + 1],
-                    rep=spec.coset_rep(verts[i], letter.lam),
-                )
-            )
-            i = j + 1
-        else:
-            i += 1
-    return out
+# -- coset visits and penetration -----------------------------------------------
 
 
 def coset_visits(spec, path: CayleyPath, lam: str, rep) -> list[tuple[int, int]]:

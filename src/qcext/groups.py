@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
-    BallCapError,
     DomainError,
     GroupTableError,
     MixedContextError,
@@ -445,13 +444,6 @@ class FreeProduct:
             return self.identity()
         return FreeProductElement(self, ((factor_index, elem),))
 
-    def embed(self, elem) -> FreeProductElement:
-        """Embed a factor element, locating its factor by the group object."""
-        for i, factor in enumerate(self.factors):
-            if getattr(elem, "group", None) == factor:
-                return self.syllable(i, elem)
-        raise MixedContextError("element does not belong to any factor")
-
     def _factor_for_symbol(self, sym: str) -> int:
         hits = [i for i, f in enumerate(self.factors) if f.owns_symbol(sym)]
         if not hits:
@@ -568,12 +560,11 @@ def commutator(a, b):
     return a.inverse() * b.inverse() * a * b
 
 
-def enumerate_ball(identity, generators: Sequence, radius: int, cap: int | None = None):
+def enumerate_ball(identity, generators: Sequence, radius: int):
     """All products of at most `radius` of the given generators, BFS order.
 
     The generator list is used as given; pass inverses explicitly if a
-    symmetric ball is wanted.  Raises BallCapError when more than `cap`
-    distinct elements appear.
+    symmetric ball is wanted.
     """
     if radius < 0:
         raise DomainError("radius must be nonnegative")
@@ -589,10 +580,6 @@ def enumerate_ball(identity, generators: Sequence, radius: int, cap: int | None 
                     seen[h] = depth
                     order.append(h)
                     nxt.append(h)
-                    if cap is not None and len(order) > cap:
-                        raise BallCapError(
-                            f"ball exceeded cap {cap} at radius {depth}"
-                        )
         frontier = nxt
     return order
 
@@ -645,11 +632,3 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     raise DomainError(f"cannot convert {x!r} to an exact rational")
 
-
-def ball_elements(group, radius: int, cap: int | None = None) -> list:
-    """Symmetric ball in the standard generators of a FreeGroup."""
-    gens = []
-    for g in group.generators():
-        gens.append(g)
-        gens.append(g.inverse())
-    return enumerate_ball(group.identity(), gens, radius, cap=cap)

@@ -8,12 +8,12 @@ a provenance tag and never come from empirical sups.
 
 Constructors provided here with their certificates:
 
-* zero_cocycle, cyclic_homomorphism, tree_edge_cocycle: defect 0;
+* cyclic_homomorphism, tree_edge_cocycle: defect 0;
 * step_quasimorphism: defect 1 by sign-pattern exhaustion;
 * half_sign: the antisymmetrized step function, defect 1/2 likewise;
 * brooks: defect 3, a cut-crossing argument (comment at the definition);
 * brooks_homogenized: exact limit evaluator, defect 6 = 2 * 3;
-* antisymmetrize: carries the input certificate through.
+* antisymmetrize, embed_on_factor: carry the input certificate through.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import IndexedLp, ModuleVector, TrivialReals, real_value, zero
+from .coeffs import IndexedLp, ModuleVector, TrivialReals, real_value
 from .errors import CertificateError, DomainError, MixedContextError
 from .groups import FreeGroup, FreeWord, as_fraction, cyclic_reduce
 
@@ -254,19 +254,6 @@ def antisymmetrize(q: QuasiCocycle) -> QuasiCocycle:
         exact_cocycle=q.exact_cocycle,
         certified_defect=cert,
         domain_check=q.domain_check,
-    )
-
-
-def zero_cocycle(group, module) -> QuasiCocycle:
-    return QuasiCocycle(
-        "zero",
-        group,
-        module,
-        lambda g: zero(module),
-        antisymmetric=True,
-        homogeneous=True,
-        exact_cocycle=True,
-        certified_defect=CertifiedBound(0, "homomorphism-zero", "identically zero"),
     )
 
 
@@ -513,18 +500,6 @@ def brooks_homogenized(group: FreeGroup, w: FreeWord, module=None) -> QuasiCocyc
         certified_defect=CertifiedBound(6, "derived",
                                         "twice the counting bound under homogenization"),
     )
-
-
-def homogenize_numeric(q: QuasiCocycle, g, n: int) -> tuple[Fraction, Fraction]:
-    """Bracket the homogenization: returns (q(g^n)/n, certified error D/n).
-
-    Scalar modules only; requires a certified defect on q."""
-    if q.certified_defect is None:
-        raise CertificateError("numeric homogenization needs a certified defect")
-    if n < 1:
-        raise DomainError("n must be positive")
-    val = q.scalar_value(g**n) / n
-    return val, q.certified_defect.value / n
 
 
 def tree_edge_cocycle(spec_or_group, lam: str | None = None, p: int = 2) -> QuasiCocycle:

@@ -15,6 +15,12 @@ verts[i]^-1 verts[i+1] is the letter's element, so it is tested once per
 distinct letter.  Cosets are keyed by their representative element and
 entrance/exit pairs by (u, v) elements, never by printed strings, and each
 distinct edge asks for its coset representative once per query.
+
+`separation_report` builds the one object every later stage reads: per
+subgroup label, the separating cosets S(f, g) with their entrance/exit
+pairs.  The combed bicombing sums over one such report, and the triangle
+partition reads S(f, g), S(f, h) and S(h, g) from a caller's report
+function, so a caller that caches reports separates each pair once.
 """
 
 from __future__ import annotations
@@ -84,11 +90,15 @@ class SeparatingCosets:
     def __len__(self):
         return len(self.cosets)
 
-    def index_of(self, coset: Coset) -> int:
-        return self.cosets.index(coset)
-
     def pairs(self, coset: Coset) -> tuple:
-        return self.entrance_exits[self.index_of(coset)]
+        """The (entrance, exit) pairs of one separating coset; {(f, g)} in
+        the trivial clause."""
+        try:
+            return self.entrance_exits[self.cosets.index(coset)]
+        except ValueError:
+            raise NotSeparatingError(
+                f"{coset} does not separate ({self.f}, {self.g})"
+            ) from None
 
     def to_json(self) -> dict:
         return {
@@ -271,20 +281,6 @@ def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) ->
     )
 
 
-def separating_cosets(spec, f, g, lam, c_value=None, budget=None) -> SeparatingCosets:
-    return separation_report(spec, f, g, c_value=c_value, budget=budget, lams=(lam,))[lam]
-
-
-def entrance_exit_set(spec, f, g, coset: Coset, c_value=None, budget=None) -> tuple:
-    """All (entrance, exit) pairs over enumerated geodesics from f to g for
-    one separating coset; {(f, g)} in the trivial clause."""
-    report = separating_cosets(spec, f, g, coset.lam, c_value=c_value, budget=budget)
-    for i, c in enumerate(report.cosets):
-        if c == coset:
-            return report.entrance_exits[i]
-    raise NotSeparatingError(f"{coset} does not separate ({f}, {g})")
-
-
 @dataclass(frozen=True)
 class TrianglePartition:
     """Split of S(f, g) into pieces controlled by the other triangle sides.
@@ -312,15 +308,19 @@ class TrianglePartition:
 
 
 def triangle_partition(
-    spec, f, g, h, lam, c_value=None, budget=None
+    spec, f, g, h, lam, report, budget=None
 ) -> TrianglePartition:
     """Partition S_lam(f, g) = from_fh | front | from_hg along a geodesic
     triangle with apex h, verifying the defining properties of each piece.
 
+    `report(a, b)` returns the separation report {lam: SeparatingCosets} of
+    the pair (a, b); the sides (f, h) and (h, g) are asked for only when
+    S(f, g) has more than two cosets.
+
     Raises PartitionNotFoundError when the verification fails; that would
     falsify the surrounding theory, not merely this routine.
     """
-    s_fg = separating_cosets(spec, f, g, lam, c_value=c_value, budget=budget)
+    s_fg = report(f, g)[lam]
     n = len(s_fg)
     if n <= 2:
         return TrianglePartition(
@@ -342,8 +342,8 @@ def triangle_partition(
         front_idx = [j for j in (pivot, pivot + 1) if j < n]
         hg_idx = list(range(pivot + 2, n))
 
-    s_fh = separating_cosets(spec, f, h, lam, c_value=c_value, budget=budget)
-    s_hg = separating_cosets(spec, h, g, lam, c_value=c_value, budget=budget)
+    s_fh = report(f, h)[lam]
+    s_hg = report(h, g)[lam]
 
     def check(idx: list[int], inside: SeparatingCosets, outside: SeparatingCosets):
         for j in idx:

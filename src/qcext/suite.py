@@ -179,7 +179,8 @@ def run_full_suite(
     # (f, g) -> (distance, separation report): each ordered pair's geodesics
     # are enumerated once, and listed in every spelling only for a pair owed
     # a penetration check (separation reads routes alone); `held` keeps the
-    # listing while the pair is still owed
+    # listing while the pair is still owed.  The triangle and combed-area
+    # checks read their sides' reports from this cache too.
     cache: dict[tuple, tuple] = {}
     held: dict = {}
 
@@ -285,7 +286,7 @@ def run_full_suite(
             continue
         for lam in lams:
             try:
-                part = triangle_partition(spec, f, g, h, lam, c_value=c, budget=budget)
+                part = triangle_partition(spec, f, g, h, lam, report_for, budget=budget)
                 ok = part.verified and len(part.front) <= 2
             except PartitionNotFoundError:
                 ok = False
@@ -367,9 +368,9 @@ def run_full_suite(
         for lam, q in sorted(cocycles.items()):
             d_val, k_val = consts[lam]
             area = (
-                combed_value(spec, lam, q, f, g, c_value=c, budget=budget)
-                + combed_value(spec, lam, q, g, h, c_value=c, budget=budget)
-                - combed_value(spec, lam, q, f, h, c_value=c, budget=budget)
+                combed_value(spec, lam, q, report_for(f, g)[lam])
+                + combed_value(spec, lam, q, report_for(g, h)[lam])
+                - combed_value(spec, lam, q, report_for(f, h)[lam])
             )
             results["combed-area-bound"].record(
                 area.norm_leq_exact(66 * d_val + 54 * k_val),

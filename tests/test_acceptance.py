@@ -307,13 +307,17 @@ def string_sweep(wstr: str, cap: int, max_power: int) -> dict[str, int]:
     """Independent oracle: breadth-first search over plain letter strings.
 
     Moves are the four generators and w^k for |k| <= max_power; the power
-    cap is implied by the length cap since |v.w^k| >= |k||w| - |v|.
+    cap is implied by the length cap since |v.w^k| >= |k||w| - |v|.  Moves
+    are grouped by first letter, shortest first: only the group that starts
+    with the inverse of v's last letter can cancel, every other move is a
+    plain concatenation and stops once it would pass the cap.
     """
     winv = "".join(FLIP[c] for c in reversed(wstr))
     moves = ["x", "X", "y", "Y"]
     for k in range(1, max_power + 1):
         moves.append(wstr * k)
         moves.append(winv * k)
+    by_first = {c: sorted((m for m in moves if m[0] == c), key=len) for c in FLIP}
     dist = {"": 0}
     frontier = [""]
     d = 0
@@ -321,11 +325,23 @@ def string_sweep(wstr: str, cap: int, max_power: int) -> dict[str, int]:
         d += 1
         nxt = []
         for v in frontier:
-            for m in moves:
-                nv = mul_str(v, m)
-                if len(nv) <= cap and nv not in dist:
-                    dist[nv] = d
-                    nxt.append(nv)
+            cancels = FLIP[v[-1]] if v else None
+            room = cap - len(v)
+            for first, group in by_first.items():
+                for m in group:
+                    if first == cancels:
+                        if len(m) > cap + len(v):
+                            break
+                        nv = mul_str(v, m)
+                        if len(nv) > cap:
+                            continue
+                    elif len(m) > room:
+                        break
+                    else:
+                        nv = v + m
+                    if nv not in dist:
+                        dist[nv] = d
+                        nxt.append(nv)
         frontier = nxt
     return dist
 

@@ -14,7 +14,7 @@ from qcext import (
     seeded_rng,
     spec_from_json,
 )
-from qcext.embedding import FINITE, INFINITE, UNKNOWN, check_local_finiteness
+from qcext.embedding import FINITE, INFINITE, UNKNOWN
 from qcext.errors import ConfigError, DomainError
 
 
@@ -194,7 +194,7 @@ def test_spec_from_json():
 
 def test_check_local_finiteness_basis():
     spec = rel_x()
-    ball = check_local_finiteness(spec, spec.lambdas()[0], radius=4)
+    ball = spec.rel_ball(spec.lambdas()[0], 4)
     assert ball.complete
     assert len(ball.elements) == 9  # powers -4..4
 

@@ -27,6 +27,7 @@ from qcext import (
     k_constant,
     restriction_check,
     root_upper,
+    separation_report,
     step_quasimorphism,
     tree_edge_cocycle,
 )
@@ -77,8 +78,9 @@ def test_averaged_and_combed_values():
     with pytest.raises(DomainError):
         averaged_value(spec, "B", qb, [])
     # coset contributions along a b a^2: slopes 1 and 2 on the A side
-    assert combed_value(spec, "A", qa, one, g).scalar() == 3
-    assert combed_value(spec, "B", qb, one, g).scalar() == 1
+    report = separation_report(spec, one, g)
+    assert combed_value(spec, "A", qa, report["A"]).scalar() == 3
+    assert combed_value(spec, "B", qb, report["B"]).scalar() == 1
 
 
 def test_free_product_extension_values_and_certificate():

@@ -10,7 +10,6 @@ from qcext import (
     FreeRelCyclicSpec,
     SearchBudget,
     brute_force_distance_oracle,
-    components,
     distance,
     free_ball_words,
     geodesic_routes,
@@ -211,10 +210,11 @@ def test_components_and_penetration():
     geo = geodesics(REL_X, F2.identity(), F2.parse("y x^3 y x^2"))
     path = geo.geodesics[0]
     lam = REL_X.lambdas()[0]
-    comps = components(REL_X, path, lam)
-    assert len(comps) == 2
+    # two components: one in each of the cosets y<x> and y x^3 y<x>
     pen = penetration(REL_X, path, lam, F2.parse("y"))
     assert pen == (F2.parse("y"), F2.parse("y x^3"))
+    pen = penetration(REL_X, path, lam, F2.parse("y x^3 y"))
+    assert pen == (F2.parse("y x^3 y"), F2.parse("y x^3 y x^2"))
     # a coset the path only touches in one vertex is not penetrated
     assert penetration(REL_X, path, lam, F2.identity()) is None
 

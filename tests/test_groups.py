@@ -23,7 +23,8 @@ from qcext import (
     is_proper_power,
 )
 from qcext.errors import GroupTableError, MixedContextError, UnknownGeneratorError
-from qcext.groups import as_fraction, ball_elements, enumerate_ball, is_cyclically_reduced
+from qcext.geodesics import free_ball_words
+from qcext.groups import as_fraction, enumerate_ball, is_cyclically_reduced
 
 
 F2 = FreeGroup(["x", "y"])
@@ -145,7 +146,7 @@ def test_enumerate_ball_count():
 
 
 def test_ball_elements_free_group():
-    ball = ball_elements(F2, 2)
+    ball = list(free_ball_words(F2, 2))
     assert len(ball) == 17
     assert len(set(map(str, ball))) == 17
 

@@ -12,8 +12,6 @@ from qcext import (
     FreeProduct,
     FreeProductPairSpec,
     FreeRelCyclicSpec,
-    QuasiCocycle,
-    TrivialReals,
     antisymmetrize,
     brooks,
     brooks_homogenized,
@@ -23,10 +21,8 @@ from qcext import (
     defect,
     delta,
     embed_on_factor,
-    homogenize_numeric,
     step_quasimorphism,
     tree_edge_cocycle,
-    zero_cocycle,
 )
 from qcext.errors import CertificateError, DomainError, MixedContextError
 
@@ -115,14 +111,9 @@ def test_numeric_homogenization_brackets_exact_psi():
     for text in ("x y", "x y x", "x^2 y", "y x^-1"):
         g = F2.parse(text)
         for n in (5, 30):
-            val, err = homogenize_numeric(h, g, n)
-            assert abs(psi.scalar_value(g) - val) <= err
-            assert err == Fraction(3, n)
-    with pytest.raises(DomainError):
-        homogenize_numeric(h, F2.parse("x"), 0)
-    bare = QuasiCocycle("bare", F2, h.module, lambda g: h(g))
-    with pytest.raises(CertificateError):
-        homogenize_numeric(bare, F2.parse("x"), 3)
+            # h(g^n)/n is within D/n of the homogenization, D = 3
+            val = h.scalar_value(g**n) / n
+            assert abs(psi.scalar_value(g) - val) <= Fraction(3, n)
 
 
 def test_step_quasimorphism_and_antisymmetrization():
@@ -253,6 +244,3 @@ def test_combinators_accumulate_certificates():
     tripled = q.scale(-3)
     assert tripled.certified_defect.value == 3
     assert tripled.scalar_value(F2.parse("x")) == -3
-    z = zero_cocycle(F2, TrivialReals())
-    assert z.exact_cocycle and z.antisymmetric and z.homogeneous
-    assert z.scalar_value(F2.parse("x y")) == 0

@@ -12,10 +12,8 @@ from qcext import (
     FreeRelCyclicSpec,
     SearchBudget,
     distance,
-    entrance_exit_set,
     free_ball_words,
     geodesics,
-    separating_cosets,
     separation_report,
     triangle_partition,
 )
@@ -55,19 +53,20 @@ def test_trivial_clause():
     spec = fp_spec()
     G = spec.group
     one, g = G.identity(), G.parse("a^5")
-    sa = separating_cosets(spec, one, g, "A")
+    rep = separation_report(spec, one, g)
+    sa = rep["A"]
     assert sa.trivial
     assert len(sa) == 1
     assert sa.distances == (0,)
     assert sa.entrance_exits[0] == ((one, g),)
     # the other subgroup sees nothing
-    assert len(separating_cosets(spec, one, g, "B")) == 0
+    assert len(rep["B"]) == 0
 
 
 def test_equal_endpoints_yield_nothing():
     spec = fp_spec()
     g = spec.group.parse("a b")
-    s = separating_cosets(spec, g, g, "A")
+    s = separation_report(spec, g, g)["A"]
     assert len(s) == 0
     assert s.exhaustive
 
@@ -77,8 +76,8 @@ def test_symmetry_and_cardinality():
     G = spec.group
     one, g = G.identity(), G.parse("a b a^2 b^3 a")
     for lam in ("A", "B"):
-        s_fg = separating_cosets(spec, one, g, lam)
-        s_gf = separating_cosets(spec, g, one, lam)
+        s_fg = separation_report(spec, one, g)[lam]
+        s_gf = separation_report(spec, g, one)[lam]
         assert set(s_fg.cosets) == set(s_gf.cosets)
         assert len(s_fg) <= distance(spec, one, g)
         assert list(s_fg.distances) == sorted(set(s_fg.distances))
@@ -88,17 +87,17 @@ def test_entrance_exit_lookup_and_rejection():
     spec = fp_spec()
     G = spec.group
     one, g = G.identity(), G.parse("a b a^2")
-    coset = Coset("B", G.parse("a"))
-    pairs = entrance_exit_set(spec, one, g, coset)
+    sep = separation_report(spec, one, g)["B"]
+    pairs = sep.pairs(Coset("B", G.parse("a")))
     assert [(str(u), str(v)) for u, v in pairs] == [("a", "a b")]
     with pytest.raises(NotSeparatingError):
-        entrance_exit_set(spec, one, g, Coset("B", G.parse("a b a")))
+        sep.pairs(Coset("B", G.parse("a b a")))
 
 
 def test_rel_basis_separating_cosets():
     one = F2.identity()
     g = F2.parse("y x^3 y x^2")
-    s = separating_cosets(REL_X, one, g, "C")
+    s = separation_report(REL_X, one, g)["C"]
     assert [str(c.rep) for c in s.cosets] == ["y", "y x^3 y"]
     assert s.distances == (1, 3)
     pairs0 = s.entrance_exits[0]
@@ -110,9 +109,9 @@ def test_band_exclusion_with_positive_c():
     # is excluded but must be logged rather than dropped
     one = F2.identity()
     g = F2.parse("y x^3 y")
-    s0 = separating_cosets(REL_X, one, g, "C", c_value=0)
+    s0 = separation_report(REL_X, one, g, c_value=0)["C"]
     assert [str(c.rep) for c in s0.cosets] == ["y"]
-    s1 = separating_cosets(REL_X, one, g, "C", c_value=1)
+    s1 = separation_report(REL_X, one, g, c_value=1)["C"]
     assert len(s1) == 0
     assert len(s1.band_excluded) == 1
     band = s1.band_excluded[0]
@@ -121,13 +120,17 @@ def test_band_exclusion_with_positive_c():
     assert s1.c_value == Fraction(1)
 
 
+def reports(spec):
+    return lambda a, b: separation_report(spec, a, b)
+
+
 def test_triangle_partition_free_product():
     spec = fp_spec()
     G = spec.group
     f, g, h = G.identity(), G.parse("a b a^2 b"), G.parse("a b")
     for lam in ("A", "B"):
-        s_fg = separating_cosets(spec, f, g, lam)
-        part = triangle_partition(spec, f, g, h, lam)
+        s_fg = separation_report(spec, f, g)[lam]
+        part = triangle_partition(spec, f, g, h, lam, reports(spec))
         assert part.verified
         assert len(part.front) <= 2
         combined = list(part.from_fh) + list(part.front) + list(part.from_hg)
@@ -138,7 +141,7 @@ def test_triangle_partition_short_list_is_front():
     spec = fp_spec()
     G = spec.group
     f, g, h = G.identity(), G.parse("a b"), G.parse("b")
-    part = triangle_partition(spec, f, g, h, "A")
+    part = triangle_partition(spec, f, g, h, "A", reports(spec))
     assert part.verified
     assert part.from_fh == () and part.from_hg == ()
     assert part.pivot == -1

@@ -105,6 +105,29 @@ def test_suite_enumerates_each_pair_once(monkeypatch):
     assert max(counts.values()) == 1
 
 
+def test_suite_reports_each_pair_once(monkeypatch):
+    # Every check, the triangle partition and the combed area included,
+    # reads an ordered pair's separation report from the suite's cache.  The
+    # extension's own iota separates through extension.separation_report,
+    # which is left unwrapped.
+    counts: Counter = Counter()
+    report = separating.separation_report
+
+    def counted(spec, f, g, *args, **kwargs):
+        counts[(f, g)] += 1
+        return report(spec, f, g, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "separation_report", counted)
+    monkeypatch.setattr(separating, "separation_report", counted)
+    spec = rel_spec()
+    out = run_full_suite(
+        spec, {"C": cyclic_homomorphism(spec, "C")}, samples=40, radius=2
+    )
+    assert out["all_passed"]
+    assert counts
+    assert set(counts.values()) == {1}
+
+
 def test_witness_is_built_only_for_a_kept_violation():
     built = []
 
