@@ -55,15 +55,20 @@ def seeded_rng(seed: int, label: str) -> random.Random:
 
 
 class XLetter:
-    """Edge label from the extra generating set X (one signed generator)."""
+    """Edge label from the extra generating set X (one signed generator).
 
-    __slots__ = ("sym", "code", "elem")
+    `lam` names the subgroup the generator lies in (a basis letter w), or
+    is None; an HLetter always lies in the subgroup of its own `lam`.
+    """
 
-    def __init__(self, group: FreeGroup, code: int):
+    __slots__ = ("sym", "code", "elem", "lam")
+
+    def __init__(self, group: FreeGroup, code: int, lam: str | None = None):
         sym = group.letter_symbol(code)
         object.__setattr__(self, "sym", sym if code > 0 else sym + "^-1")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "elem", FreeWord(group, (code,)))
+        object.__setattr__(self, "lam", lam)
 
     def __setattr__(self, name, value):
         raise AttributeError("XLetter is immutable")
@@ -137,9 +142,6 @@ class SearchBudget:
     max_power: int = 24
     max_geodesics: int = 20_000
     slack: int = 2
-
-    def to_json(self) -> dict:
-        return {key: getattr(self, key) for key in _BUDGET_KEYS}
 
     @staticmethod
     def from_json(data: dict) -> SearchBudget:
@@ -254,15 +256,14 @@ class FreeProductPairSpec:
     def in_subgroup(self, g: FreeProductElement, lam: str) -> bool:
         if g.group != self.group:
             raise MixedContextError("element from a different group")
-        if not g.syllables:
-            return True
-        return len(g.syllables) == 1 and g.syllables[0][0] == self._index[lam]
+        raw = g.raw
+        return not raw or (len(raw) == 1 and raw[0][0] == self._index[lam])
 
     def coset_rep(self, g: FreeProductElement, lam: str) -> FreeProductElement:
         """Canonical representative of g H_lam: drop a trailing lam-syllable."""
-        idx = self._index[lam]
-        if g.syllables and g.syllables[-1][0] == idx:
-            return FreeProductElement(self.group, g.syllables[:-1])
+        raw = g.raw
+        if raw and raw[-1][0] == self._index[lam]:
+            return FreeProductElement(self.group, raw[:-1])
         return g
 
     def rel_distance(self, h1, h2, lam: str, budget=None) -> RelativeDistance:
@@ -356,9 +357,11 @@ class FreeRelCyclicSpec:
         self.budget = budget or SearchBudget()
         self._w_inv = w.inverse()
         # Edge letters are built once per spec: the ambient letters by code
-        # (x, x^-1, y, y^-1, ...) and the subgroup letters by power, on demand.
+        # (x, x^-1, y, y^-1, ...), marked as subgroup members when w is that
+        # basis letter, and the subgroup letters by power, on demand.
+        basis = abs(w.letters[0]) if self.is_basis else None
         self.ambient_letters = {
-            code: XLetter(group, code)
+            code: XLetter(group, code, lam if i == basis else None)
             for i in range(1, len(group.gens) + 1)
             for code in (i, -i)
         }

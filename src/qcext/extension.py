@@ -3,10 +3,13 @@
 The elementary bicombing r(u, v) = u.q(u^-1 v) is defined on pairs in a
 common coset; averaging it over the entrance/exit pairs of a separating
 coset and summing over all separating cosets of (f, g) gives the combed
-bicombing, and evaluating at (1, g) gives the extension.  The defect of
-the extension is certified by sum over subgroups of 54*K + 66*D, where D
-is the certified defect of the input and K bounds the input's norms on
-the strict 15C-ball of the relative metric.
+bicombing, and evaluating at (1, g) gives the extension.  Each pair of a
+separation report carries its step h = u^-1 v, so the average reads
+u.q(h) directly: no product and no membership test on the evaluation path
+(the public `elementary_bicombing` keeps its common-coset check).  The
+defect of the extension is certified by sum over subgroups of 54*K + 66*D,
+where D is the certified defect of the input and K bounds the input's norms
+on the strict 15C-ball of the relative metric.
 
 Inputs must be antisymmetric (declared and spot-checked).  `asnec_demo`
 runs the raw pipeline on a deliberately one-sided input to exhibit the
@@ -79,10 +82,10 @@ def k_constant(spec, lam: str, q: QuasiCocycle, c_value: Fraction,
     return root_upper(best, q.module.p), not ball.complete
 
 
-def averaged_value(spec, lam: str, q: QuasiCocycle, pairs) -> ModuleVector:
-    """Mean of the elementary bicombing over entrance/exit pairs."""
-    r = elementary_bicombing(spec, lam, q)
-    vecs = [r(u, v) for u, v in pairs]
+def averaged_value(q: QuasiCocycle, pairs, steps) -> ModuleVector:
+    """Mean of the elementary bicombing over entrance/exit pairs (u, v),
+    each given with its step h = u^-1 v in the subgroup: r(u, v) = u.q(h)."""
+    vecs = [q(h).act(u) for (u, _), h in zip(pairs, steps)]
     if not vecs:
         raise DomainError("no entrance/exit pairs to average")
     if len(vecs) == 1:
@@ -94,7 +97,8 @@ def combed_value(spec, lam: str, q: QuasiCocycle, sep) -> ModuleVector:
     """The combed bicombing at (f, g): averaged values summed over the
     separating cosets of one report `sep` = S_lam(f, g)."""
     return sum_vectors(
-        (averaged_value(spec, lam, q, pairs) for pairs in sep.entrance_exits),
+        (averaged_value(q, pairs, steps)
+         for pairs, steps in zip(sep.entrance_exits, sep.steps)),
         q.module,
     )
 

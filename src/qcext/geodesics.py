@@ -25,6 +25,10 @@ generic-engine paths already have pairwise distinct vertex tuples (an
 ambient letter and a subgroup letter share an element only when |w| = 1),
 so there the routes are the geodesics.
 
+`distance` lists no path where a closed form exists: on free products it is
+the syllable count of f^-1 g, and elsewhere the length of the route, so a
+basis w builds one path rather than every spelling.
+
 One breadth-first search kernel, `_bfs` over byte-encoded reduced words,
 runs every coned-graph search of the relative family: the generic engine
 (with predecessors), the `distance_map` sweep (no target, bounded by word
@@ -45,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .embedding import HLetter, SearchBudget, XLetter
 from .errors import BudgetExhaustedError, DomainError, NotGeodesicError
-from .groups import FreeGroup, FreeWord
+from .groups import FreeGroup, FreeProductElement, FreeWord
 
 
 class CayleyPath:
@@ -128,14 +132,19 @@ def geodesic_routes(spec, f, g, budget: SearchBudget | None = None) -> GeodesicS
 
 
 def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
-    return geodesics(spec, f, g, budget=budget).distance
+    """d(f, g) in the coned graph: the syllable count of f^-1 g on free
+    products, else the length of a route (no spelling is listed)."""
+    if spec.family == "free_product":
+        return len(f.inverse() * g)
+    return geodesic_routes(spec, f, g, budget=budget).distance
 
 
 def _free_product_geodesics(spec, f, g) -> GeodesicSet:
-    u = f.inverse() * g
-    letters = []
-    for idx, h in u.syllables:
-        letters.append(HLetter(spec.names[idx], spec.group.syllable(idx, h)))
+    group = spec.group
+    letters = [
+        HLetter(spec.names[syl[0]], FreeProductElement(group, (syl,)))
+        for syl in (f.inverse() * g).raw
+    ]
     # Syllable normal form is the unique geodesic spelling: every edge moves
     # within one factor, and merging or splitting syllables only lengthens.
     return GeodesicSet(

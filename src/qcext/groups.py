@@ -2,14 +2,21 @@
 
 Elements are immutable value objects tied to their group.  Free-group words
 are stored as tuples of signed ints (generator i maps to i+1, its inverse to
--(i+1)) and are always freely reduced.  Free-product elements are stored in
-normal form: a tuple of (factor index, nontrivial factor element) syllables
-with adjacent factor indices distinct.
+-(i+1)) and are always freely reduced; finite-group elements as their table
+index.  Free-product elements are stored flat, in normal form: `raw` is a
+tuple of (factor index, raw factor value) syllables with adjacent factor
+indices distinct, the raw value being the letters tuple of a free factor or
+the table index of a finite one, never the raw identity (both raw identities,
+() and 0, are falsy).  Products and inverses run on raw values through the
+factor's `raw_mul` and `raw_inv`, so an element holds only ints and tuples of
+ints and its hash and equality stay in C.  Factor elements are built only at
+the API boundary: `FreeProduct.syllable` reads a factor element's raw value,
+and the `syllables` view and `str` wrap raw values back.
 
-Equality compares the payload (letters, syllables or table index) first and
-the group second, by identity before value.  Hashes are payload-only: equal
-elements have equal payloads, and since no symbol string enters the hash, an
-element's hash does not depend on PYTHONHASHSEED.
+Equality compares the payload (letters, raw syllables or table index) first
+and the group second, by identity before value.  Hashes are payload-only:
+equal elements have equal payloads, and since no symbol string enters the
+hash, an element's hash does not depend on PYTHONHASHSEED.
 
 Parsing uses one token grammar everywhere: tokens separated by whitespace or
 '*', each token either '1' (identity) or 'sym' or 'sym^k' with k a nonzero
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -103,37 +111,42 @@ class FreeGroup:
     def parse(self, text: str) -> FreeWord:
         letters: list[int] = []
         for token in _split_tokens(text):
-            if token == "1":
-                continue
-            sym, k = _parse_token(token)
-            if sym not in self._index:
-                raise UnknownGeneratorError(f"{sym!r} not a generator of {self!r}")
-            code = self._index[sym] if k > 0 else -self._index[sym]
-            letters.extend([code] * abs(k))
+            if token != "1":
+                letters.extend(self.raw_token(*_parse_token(token)))
         return self.word(letters)
 
     def generators(self) -> list[FreeWord]:
         return [self.gen(g) for g in self.gens]
 
-    # -- protocol used by FreeProduct and searches ----------------------------
+    # -- protocol used by FreeProduct ----------------------------------------
 
-    def mul(self, a: FreeWord, b: FreeWord) -> FreeWord:
-        return a * b
+    @staticmethod
+    def raw_mul(a: tuple, b: tuple) -> tuple:
+        """Reduced concatenation of two reduced letter tuples."""
+        i, n = 0, min(len(a), len(b))
+        while i < n and a[-1 - i] == -b[i]:
+            i += 1
+        return a[: len(a) - i] + b[i:]
 
-    def inv(self, a: FreeWord) -> FreeWord:
-        return a.inverse()
+    @staticmethod
+    def raw_inv(a: tuple) -> tuple:
+        return tuple(map(neg, a[::-1]))
 
-    def is_identity(self, a: FreeWord) -> bool:
-        return not a.letters
+    def unwrap(self, a: FreeWord) -> tuple:
+        return a.letters
 
-    def owns_symbol(self, sym: str) -> bool:
-        return sym in self._index
+    def wrap(self, raw: tuple) -> FreeWord:
+        return FreeWord(self, raw)
 
     def symbols(self) -> tuple[str, ...]:
         return self.gens
 
-    def parse_token(self, token: str) -> FreeWord:
-        return self.parse(token)
+    def raw_token(self, sym: str, k: int) -> tuple:
+        """The letters of sym^k (k != 0)."""
+        if sym not in self._index:
+            raise UnknownGeneratorError(f"{sym!r} not a generator of {self!r}")
+        code = self._index[sym]
+        return (code if k > 0 else -code,) * abs(k)
 
     def letter_symbol(self, code: int) -> str:
         return self.gens[abs(code) - 1]
@@ -176,15 +189,13 @@ class FreeWord:
             return NotImplemented
         if self.group is not other.group and self.group != other.group:
             raise MixedContextError("words from different free groups")
-        a, b = list(self.letters), other.letters
-        i = 0
-        while a and i < len(b) and a[-1] == -b[i]:
-            a.pop()
-            i += 1
-        return FreeWord(self.group, tuple(a) + b[i:])
+        a, b = self.letters, other.letters
+        if a and b and a[-1] == -b[0]:
+            return FreeWord(self.group, FreeGroup.raw_mul(a, b))
+        return FreeWord(self.group, a + b)
 
     def inverse(self) -> FreeWord:
-        return FreeWord(self.group, tuple(-c for c in reversed(self.letters)))
+        return FreeWord(self.group, FreeGroup.raw_inv(self.letters))
 
     def __pow__(self, n: int) -> FreeWord:
         if n == 0:
@@ -360,32 +371,31 @@ class FiniteTableGroup:
     def elements(self) -> list[FiniteElement]:
         return [FiniteElement(self, i) for i in range(len(self.names))]
 
-    def mul(self, a: FiniteElement, b: FiniteElement) -> FiniteElement:
-        return a * b
+    def raw_mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
 
-    def inv(self, a: FiniteElement) -> FiniteElement:
-        return a.inverse()
+    def raw_inv(self, a: int) -> int:
+        return self._inverse[a]
 
-    def is_identity(self, a: FiniteElement) -> bool:
-        return a.index == 0
+    def unwrap(self, a: FiniteElement) -> int:
+        return a.index
 
-    def owns_symbol(self, sym: str) -> bool:
-        return sym in self._name_index and sym != self.names[0]
+    def wrap(self, raw: int) -> FiniteElement:
+        return FiniteElement(self, raw)
 
     def symbols(self) -> tuple[str, ...]:
         return self.names[1:]
 
-    def parse_token(self, token: str) -> FiniteElement:
-        sym, k = _parse_token(token)
-        return self.element(sym) ** k
+    def raw_token(self, sym: str, k: int) -> int:
+        """The table index of sym^k."""
+        return (self.element(sym) ** k).index
 
     def parse(self, text: str) -> FiniteElement:
-        out = self.identity()
+        out = 0
         for token in _split_tokens(text):
-            if token == "1":
-                continue
-            out = out * self.parse_token(token)
-        return out
+            if token != "1":
+                out = self.table[out][self.raw_token(*_parse_token(token))]
+        return FiniteElement(self, out)
 
 
 def cyclic_group(order: int, sym: str = "g") -> FiniteTableGroup:
@@ -401,12 +411,13 @@ class FreeProduct:
     """Free product of a sequence of factor groups.
 
     Factors may be FreeGroup or FiniteTableGroup instances (anything with the
-    identity/mul/inv/is_identity/owns_symbol/symbols/parse_token protocol).
+    raw_mul/raw_inv/wrap/unwrap/symbols/raw_token protocol, whose raw
+    identity is falsy).
     Symbols must not collide across factors, so parsing and printing are
     unambiguous; a collision raises DomainError.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_owner")
 
     def __init__(self, factors: Sequence):
         factors = tuple(factors)
@@ -420,6 +431,7 @@ class FreeProduct:
                         f"symbol {sym!r} is owned by factors {owner[sym]} and {i}"
                     )
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_owner", owner)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeProduct is immutable")
@@ -439,95 +451,81 @@ class FreeProduct:
         return FreeProductElement(self, ())
 
     def syllable(self, factor_index: int, elem) -> FreeProductElement:
-        factor = self.factors[factor_index]
-        if factor.is_identity(elem):
-            return self.identity()
-        return FreeProductElement(self, ((factor_index, elem),))
-
-    def _factor_for_symbol(self, sym: str) -> int:
-        hits = [i for i, f in enumerate(self.factors) if f.owns_symbol(sym)]
-        if not hits:
-            raise UnknownGeneratorError(f"{sym!r} not in any factor")
-        if len(hits) > 1:
-            raise UnknownGeneratorError(f"{sym!r} is ambiguous across factors")
-        return hits[0]
+        raw = self.factors[factor_index].unwrap(elem)
+        return FreeProductElement(self, ((factor_index, raw),) if raw else ())
 
     def parse(self, text: str) -> FreeProductElement:
         out = self.identity()
         for token in _split_tokens(text):
             if token == "1":
                 continue
-            sym, _ = _parse_token(token)
-            i = self._factor_for_symbol(sym)
-            out = out * self.syllable(i, self.factors[i].parse_token(token))
+            sym, k = _parse_token(token)
+            i = self._owner.get(sym)
+            if i is None:
+                raise UnknownGeneratorError(f"{sym!r} not in any factor")
+            raw = self.factors[i].raw_token(sym, k)
+            out = out * FreeProductElement(self, ((i, raw),) if raw else ())
         return out
-
-    def mul(self, a: FreeProductElement, b: FreeProductElement) -> FreeProductElement:
-        return a * b
-
-    def inv(self, a: FreeProductElement) -> FreeProductElement:
-        return a.inverse()
-
-    def is_identity(self, a: FreeProductElement) -> bool:
-        return not a.syllables
 
 
 class FreeProductElement:
-    """Normal-form element of a FreeProduct."""
+    """Normal-form element of a FreeProduct, stored as raw syllables."""
 
-    __slots__ = ("group", "syllables")
+    __slots__ = ("group", "raw")
 
-    def __init__(self, group: FreeProduct, syllables: tuple):
+    def __init__(self, group: FreeProduct, raw: tuple):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "syllables", syllables)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeProductElement is immutable")
 
+    @property
+    def syllables(self) -> tuple:
+        """(factor index, factor element) pairs of the normal form."""
+        factors = self.group.factors
+        return tuple((i, factors[i].wrap(a)) for i, a in self.raw)
+
     def __eq__(self, other):
         if not isinstance(other, FreeProductElement):
             return NotImplemented
-        return self.syllables == other.syllables and (
+        return self.raw == other.raw and (
             self.group is other.group or self.group == other.group
         )
 
     def __hash__(self):
-        return hash(self.syllables)
+        return hash(self.raw)
 
     def __len__(self):
-        return len(self.syllables)
+        return len(self.raw)
 
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self.raw
 
     def __mul__(self, other: FreeProductElement) -> FreeProductElement:
         if not isinstance(other, FreeProductElement):
             return NotImplemented
         if self.group is not other.group and self.group != other.group:
             raise MixedContextError("elements from different free products")
-        left = list(self.syllables)
-        right = list(other.syllables)
-        j = 0
-        # Cancellation loop: merge facing syllables from the same factor,
-        # dropping identities and re-checking the new boundary.
-        while left and j < len(right):
-            fi, a = left[-1]
-            fj, b = right[j]
-            if fi != fj:
-                break
-            c = self.group.factors[fi].mul(a, b)
+        left, right = self.raw, other.raw
+        if not left or not right or left[-1][0] != right[0][0]:
+            return FreeProductElement(self.group, left + right)
+        # Merge facing syllables of one factor, dropping raw identities and
+        # re-checking the new boundary.
+        factors = self.group.factors
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            fi = right[j][0]
+            c = factors[fi].raw_mul(left[i - 1][1], right[j][1])
+            i -= 1
             j += 1
-            if self.group.factors[fi].is_identity(c):
-                left.pop()
-            else:
-                left[-1] = (fi, c)
-                break
-        return FreeProductElement(self.group, tuple(left) + tuple(right[j:]))
+            if c:
+                return FreeProductElement(self.group, left[:i] + ((fi, c),) + right[j:])
+        return FreeProductElement(self.group, left[:i] + right[j:])
 
     def inverse(self) -> FreeProductElement:
-        inv = tuple(
-            (i, self.group.factors[i].inv(a)) for i, a in reversed(self.syllables)
-        )
+        factors = self.group.factors
+        inv = tuple((i, factors[i].raw_inv(a)) for i, a in self.raw[::-1])
         return FreeProductElement(self.group, inv)
 
     def __pow__(self, n: int) -> FreeProductElement:
@@ -538,7 +536,7 @@ class FreeProductElement:
         return out
 
     def __str__(self):
-        if not self.syllables:
+        if not self.raw:
             return "1"
         return " ".join(str(a) for _, a in self.syllables)
 
@@ -568,16 +566,16 @@ def enumerate_ball(identity, generators: Sequence, radius: int):
     """
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-    seen = {identity: 0}
+    seen = {identity}
     order = [identity]
     frontier = [identity]
-    for depth in range(1, radius + 1):
+    for _ in range(radius):
         nxt = []
         for g in frontier:
             for s in generators:
                 h = g * s
                 if h not in seen:
-                    seen[h] = depth
+                    seen.add(h)
                     order.append(h)
                     nxt.append(h)
         frontier = nxt

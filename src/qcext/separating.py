@@ -11,10 +11,15 @@ geodesic prefix length at the entrance; distances are checked to be strictly
 increasing and the count never exceeds d(f, g) (InvariantError otherwise).
 
 Subgroup membership of an edge is read off its letter: along a path,
-verts[i]^-1 verts[i+1] is the letter's element, so it is tested once per
-distinct letter.  Cosets are keyed by their representative element and
-entrance/exit pairs by (u, v) elements, never by printed strings, and each
-distinct edge asks for its coset representative once per query.
+verts[i]^-1 verts[i+1] is the letter's element, and a letter's `lam` names
+the subgroup it lies in (an HLetter its own label's, an ambient letter the
+basis w's when it is w), so separation makes no membership test.  Each
+entrance/exit pair (u, v) carries its step h = u^-1 v: the edge letter's
+element, or f^-1 g in the trivial clause.  The bicombing reads q(h) off the
+step, so nothing downstream multiplies or tests membership again.  Cosets
+are keyed by their representative element and entrance/exit pairs by (u, v)
+elements, never by printed strings, and each distinct edge asks for its
+coset representative once per query.
 
 `separation_report` builds the one object every later stage reads: per
 subgroup label, the separating cosets S(f, g) with their entrance/exit
@@ -81,6 +86,7 @@ class SeparatingCosets:
     cosets: tuple
     distances: tuple
     entrance_exits: tuple  # per coset: tuple of (entrance, exit) pairs
+    steps: tuple  # per coset, parallel to its pairs: u^-1 v, in the subgroup
     trivial: bool
     exhaustive: bool
     conditional: bool = False
@@ -164,6 +170,7 @@ def separation_report(
                 cosets=(Coset(lam, rep),),
                 distances=(0,),
                 entrance_exits=(((f, g),),),
+                steps=((u,),),
                 trivial=True,
                 exhaustive=True,
                 c_value=c,
@@ -172,7 +179,7 @@ def separation_report(
         if f == g:
             out[lam] = SeparatingCosets(
                 f=f, g=g, lam=lam, cosets=(), distances=(), entrance_exits=(),
-                trivial=False, exhaustive=True, c_value=c,
+                steps=(), trivial=False, exhaustive=True, c_value=c,
             )
             continue
         out[lam] = _essential_cosets(spec, f, g, lam, c, geo, budget)
@@ -184,7 +191,7 @@ class _CosetTally:
     """What the walk over the geodesics learned about one coset."""
 
     prefix: int  # least edge index at which a geodesic enters the coset
-    pairs: dict = field(default_factory=dict)  # ordered set of (u, v) pairs
+    pairs: dict = field(default_factory=dict)  # (u, v) -> u^-1 v, first-seen order
     essential: bool = False
     conditional: bool = False
     band: RelativeDistance | None = None
@@ -192,12 +199,11 @@ class _CosetTally:
 
 def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) -> SeparatingCosets:
     three_c = 3 * c
-    # Along a path verts[i]^-1 verts[i+1] is the letter's element, so
-    # membership is decided once per distinct letter element.  Everything
-    # below depends on the vertices alone, so a path with the same vertex
-    # tuple as the path before it would replay the same updates and is
-    # skipped (all spellings of a closed-form geodesic share one tuple).
-    member: dict = {}
+    # Along a path verts[i]^-1 verts[i+1] is the letter's element, and the
+    # letter says which subgroup holds it.  Everything below depends on the
+    # vertices alone, so a path with the same vertex tuple as the path
+    # before it would replay the same updates and is skipped (all spellings
+    # of a closed-form geodesic share one tuple).
     prev = None
     # per distinct edge (u, v): its coset rep, and its width once measured
     rep_of: dict = {}
@@ -209,12 +215,7 @@ def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) ->
             continue
         prev = verts
         for i, letter in enumerate(path.letters):
-            elem = letter.elem
-            inside = member.get(elem)
-            if inside is None:
-                inside = not elem.is_identity() and spec.in_subgroup(elem, lam)
-                member[elem] = inside
-            if not inside:
+            if letter.lam != lam:
                 continue
             pair = (verts[i], verts[i + 1])
             rep = rep_of.get(pair)
@@ -225,7 +226,7 @@ def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) ->
                 tally = info[rep] = _CosetTally(i)
             elif i < tally.prefix:
                 tally.prefix = i
-            tally.pairs[pair] = None
+            tally.pairs[pair] = letter.elem
             if tally.essential:
                 continue
             if three_c == 0:
@@ -251,7 +252,7 @@ def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) ->
     for rep, tally in info.items():
         coset = Coset(lam, rep)
         if tally.essential:
-            cosets.append((tally.prefix, coset, tuple(tally.pairs)))
+            cosets.append((tally.prefix, coset, tally.pairs))
             conditional = conditional or tally.conditional
         elif tally.band is not None:
             first = next(iter(tally.pairs))
@@ -272,7 +273,8 @@ def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) ->
         lam=lam,
         cosets=tuple(t[1] for t in cosets),
         distances=dists,
-        entrance_exits=tuple(t[2] for t in cosets),
+        entrance_exits=tuple(tuple(t[2]) for t in cosets),
+        steps=tuple(tuple(t[2].values()) for t in cosets),
         trivial=False,
         exhaustive=geo.exhaustive,
         conditional=conditional,

@@ -343,16 +343,18 @@ def run_full_suite(
             r = elementary_bicombing(spec, lam, q)
             for i, coset in enumerate(sep.cosets):
                 pairs = sep.entrance_exits[i]
-                r_av = averaged_value(spec, lam, q, pairs)
+                r_av = averaged_value(q, pairs, sep.steps[i])
                 for u, v in pairs:
                     gap = r_av - r(u, v)
                     results["averaged-value-bound"].record(
                         gap.norm_leq_exact(2 * d_val + 2 * k_val),
                         lambda: f"averaged value at {coset} of ({f},{g}) drifts past 2D+2K",
                     )
-                if q.antisymmetric and coset in rep_gf[lam].cosets:
+                back_sep = rep_gf[lam]
+                if q.antisymmetric and coset in back_sep.cosets:
+                    j = back_sep.cosets.index(coset)
                     back = averaged_value(
-                        spec, lam, q, rep_gf[lam].pairs(coset)
+                        q, back_sep.entrance_exits[j], back_sep.steps[j]
                     )
                     results["averaged-value-bound"].record(
                         back == -r_av,

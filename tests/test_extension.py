@@ -31,8 +31,10 @@ from qcext import (
     step_quasimorphism,
     tree_edge_cocycle,
 )
+from qcext.coeffs import sum_vectors
 from qcext.errors import CertificateError, DomainError, MixedContextError
 from qcext.qc import half_sign
+from qcext.suite import ball_domain
 
 # the package's `geodesics` attribute is the function, not the module
 geodesics_module = importlib.import_module("qcext.geodesics")
@@ -74,9 +76,9 @@ def test_averaged_and_combed_values():
     qb = cyclic_homomorphism(spec, "B")
     one, g = G.identity(), G.parse("a b a^2")
     pair = (G.parse("a"), G.parse("a b"))
-    assert averaged_value(spec, "B", qb, [pair]).scalar() == 1
+    assert averaged_value(qb, [pair], [G.parse("b")]).scalar() == 1
     with pytest.raises(DomainError):
-        averaged_value(spec, "B", qb, [])
+        averaged_value(qb, [], [])
     # coset contributions along a b a^2: slopes 1 and 2 on the A side
     report = separation_report(spec, one, g)
     assert combed_value(spec, "A", qa, report["A"]).scalar() == 3
@@ -238,15 +240,16 @@ def test_averaged_value_of_one_pair_is_its_bicombing():
     assert isinstance(q.module, TrivialReals)
     r = elementary_bicombing(REL_X, "C", q)
     u, v = F2.parse("y x^-2"), F2.parse("y x^3")
-    assert averaged_value(REL_X, "C", q, [(u, v)]) == r(u, v)
+    assert averaged_value(q, [(u, v)], [F2.parse("x^5")]) == r(u, v)
     spec = fp_spec()
     G = spec.group
     tree = tree_edge_cocycle(spec, "A")
     r = elementary_bicombing(spec, "A", tree)
     u, v = G.parse("b a"), G.parse("b a^3")
     assert isinstance(tree.module, IndexedLp)
-    assert averaged_value(spec, "A", tree, [(u, v)]) == r(u, v)
-    assert averaged_value(spec, "A", tree, [(u, v), (u, v)]) == r(u, v)
+    h = G.parse("a^2")
+    assert averaged_value(tree, [(u, v)], [h]) == r(u, v)
+    assert averaged_value(tree, [(u, v), (u, v)], [h, h]) == r(u, v)
 
 
 def test_long_basis_word_evaluates_unconditionally():
@@ -273,3 +276,41 @@ def test_basis_evaluation_lists_no_spellings(monkeypatch):
     # the counter sees a listing when one is asked for
     geodesics_module.geodesics(REL_X, F2.identity(), F2.parse("y x"))
     assert len(calls) == 1
+
+
+def test_carried_steps_are_the_subgroup_elements_of_their_pairs():
+    # Separation carries h = u^-1 v with each entrance/exit pair, and the
+    # bicombing reads q(h) without recomputing or testing it; this sweep
+    # is what checks the carried steps against the group and the subgroup.
+    A, B = FreeGroup(["x", "y"]), FreeGroup(["t"])
+    fp = FreeProductPairSpec(FreeProduct([A, B]), ["A", "B"])
+    rel_xy = FreeRelCyclicSpec(
+        F2, F2.parse("x y"), budget=SearchBudget(max_vertices=20_000, max_power=6)
+    )
+    cases = [
+        (fp, 2, Fraction(0), {"A": embed_on_factor(fp, "A", brooks(A, A.parse("x y"))),
+                              "B": cyclic_homomorphism(fp, "B")}),
+        (REL_X, 3, Fraction(0), {"C": half_sign(REL_X)}),
+        (rel_xy, 1, Fraction(4, 3), {"C": cyclic_homomorphism(rel_xy)}),
+    ]
+    for spec, radius, c, inputs in cases:
+        ball = ball_domain(spec, radius)
+        seen = 0
+        for f in ball:
+            for g in ball:
+                report = separation_report(spec, f, g, c_value=c)
+                for lam, q in inputs.items():
+                    sep = report[lam]
+                    r = elementary_bicombing(spec, lam, q)
+                    assert len(sep.steps) == len(sep.entrance_exits)
+                    for pairs, steps in zip(sep.entrance_exits, sep.steps):
+                        assert len(steps) == len(pairs)
+                        for (u, v), h in zip(pairs, steps):
+                            assert u * h == v, (str(f), str(g), lam)
+                            assert spec.in_subgroup(h, lam), (str(f), str(g), lam)
+                        mean = sum_vectors(
+                            [r(u, v) for u, v in pairs], q.module
+                        ).scale(Fraction(1, len(pairs)))
+                        assert averaged_value(q, pairs, steps) == mean
+                        seen += len(pairs)
+        assert seen > 0

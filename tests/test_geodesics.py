@@ -161,6 +161,32 @@ def test_engine_matches_oracle_rel_xy(u):
     assert distance(REL_XY, one, u) == want
 
 
+def test_distance_matches_geodesics_and_oracle():
+    A, B = FreeGroup(["x", "y"]), FreeGroup(["t"])
+    fp = FreeProductPairSpec(FreeProduct([A, B]), ["A", "B"])
+    ball = ball_domain(fp, 2)
+    oracle = {}  # the oracle depends on f^-1 g only
+    for f in ball:
+        for g in ball:
+            d = distance(fp, f, g)
+            assert d == geodesics(fp, f, g).distance, (str(f), str(g))
+            u = f.inverse() * g
+            if u not in oracle:
+                oracle[u] = brute_force_distance_oracle(fp, fp.identity(), u)[0]
+            assert d == oracle[u], (str(f), str(g))
+    rel_xy = FreeRelCyclicSpec(
+        F2, F2.parse("x y"), c_value=0,
+        budget=SearchBudget(max_vertices=20_000, max_power=6),
+    )
+    for spec in (REL_X, rel_xy):
+        for f in (F2.identity(), F2.parse("y"), F2.parse("x^-1 y")):
+            for u in free_ball_words(F2, 3):
+                g = f * u
+                d = distance(spec, f, g)
+                assert d == geodesics(spec, f, g).distance, (spec, str(f), str(g))
+                assert d == brute_force_distance_oracle(spec, f, g)[0], (spec, str(f), str(g))
+
+
 def test_oracle_flags_binding_power_cap():
     # with powers capped at 1 the oracle can only spell x^5 letter by
     # letter; it must admit the result is an upper bound

@@ -24,7 +24,12 @@ from qcext import (
 )
 from qcext.errors import GroupTableError, MixedContextError, UnknownGeneratorError
 from qcext.geodesics import free_ball_words
-from qcext.groups import as_fraction, enumerate_ball, is_cyclically_reduced
+from qcext.groups import (
+    FiniteElement,
+    as_fraction,
+    enumerate_ball,
+    is_cyclically_reduced,
+)
 
 
 F2 = FreeGroup(["x", "y"])
@@ -130,6 +135,48 @@ def test_free_product_normal_form():
     # full collapse through a vanishing syllable
     k = G.parse("a b a") * G.parse("a^-1 b^-1 a^5")
     assert k == G.parse("a^6")
+
+
+def test_flat_free_product_payload():
+    A, C3 = FreeGroup(["a", "b"]), cyclic_group(3, "g")
+    G = FreeProduct([A, C3])
+    # products merge and cancel syllables of both kinds of factor
+    assert str(G.parse("a g") * G.parse("g a")) == "a g2 a"
+    assert G.parse("a g b") * G.parse("b^-1 g2 a^-1") == G.identity()
+    assert G.parse("b a") * G.parse("a^-1 g") == G.parse("b g")
+    assert G.parse("a g") * G.parse("g2 a^-1 b") == G.parse("b")
+    assert G.parse("g a b g2") * G.parse("g b") == G.parse("g a b^2")
+    # parse, syllable() and products build equal elements with equal hashes
+    x = G.parse("a b^-1 g2 b")
+    built = [
+        G.syllable(0, A.parse("a b^-1"))
+        * G.syllable(1, C3.element("g2"))
+        * G.syllable(0, A.parse("b")),
+        G.parse("a") * G.parse("b^-1 g") * G.parse("g b"),
+        G.parse("a b^-1 g^-1 b"),
+    ]
+    for y in built:
+        assert y == x and hash(y) == hash(x)
+    assert G.syllable(1, C3.identity()) == G.identity()
+    # the syllables view wraps factor elements back; printing is unchanged
+    assert x.syllables == (
+        (0, A.parse("a b^-1")), (1, C3.element("g2")), (0, A.parse("b"))
+    )
+    assert [type(h) for _, h in x.syllables] == [FreeWord, FiniteElement, FreeWord]
+    assert str(x) == "a b^-1 g2 b" and str(G.identity()) == "1"
+    # another free product with the same payload stays foreign
+    H = FreeProduct([FreeGroup(["a", "b"]), cyclic_group(2, "g")])
+    assert H.parse("a g").raw == G.parse("a g").raw
+    assert H.parse("a g") != G.parse("a g")
+    with pytest.raises(MixedContextError):
+        G.parse("a g") * H.parse("a g")
+    # the payload holds only ints and tuples of ints
+    for elem in [x, x.inverse(), *built, G.parse("g b^2 a^-1 g2")]:
+        for idx, raw in elem.raw:
+            assert type(idx) is int
+            assert type(raw) is int or (
+                type(raw) is tuple and all(type(c) is int for c in raw)
+            )
 
 
 def test_free_product_parse_rejects_foreign_symbols():
