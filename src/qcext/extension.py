@@ -93,7 +93,7 @@ def averaged_value(q: QuasiCocycle, pairs, steps) -> ModuleVector:
     return sum_vectors(vecs, q.module).scale(Fraction(1, len(vecs)))
 
 
-def combed_value(spec, lam: str, q: QuasiCocycle, sep) -> ModuleVector:
+def combed_value(q: QuasiCocycle, sep) -> ModuleVector:
     """The combed bicombing at (f, g): averaged values summed over the
     separating cosets of one report `sep` = S_lam(f, g)."""
     return sum_vectors(
@@ -124,9 +124,8 @@ class ExtensionResult:
     def sync_notes(self) -> None:
         """Fold evaluation-time notes (non-exhaustive enumerations, band
         exclusions) into the result's conditionality report."""
-        for msg in self._box.get("reasons", []):
-            if msg not in self.conditional_reasons:
-                self.conditional_reasons.append(msg)
+        self.conditional_reasons = list(dict.fromkeys(
+            [*self.conditional_reasons, *self._box.get("reasons", ())]))
         self.band_log = list(self._box.get("bands", []))
         self.conditional = bool(self.conditional_reasons)
 
@@ -172,7 +171,7 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget, result_box: dict):
                     f"essentiality for {g} used upper-bound distances"
                 )
             result_box.setdefault("bands", []).extend(sep.band_excluded)
-            total = total + combed_value(spec, lam, cocycles[lam], sep)
+            total = total + combed_value(cocycles[lam], sep)
         return total
 
     return fn, module

@@ -4,7 +4,9 @@ A quasi-cocycle assigns to each group element a vector in an isometric
 module; its defect is sup ||q(fg) - q(f) - f.q(g)||.  Empirical defect
 scans (DefectEstimate) keep the exact p-th power of the largest violation
 and a witness pair; certificates (CertifiedBound) are exact rationals with
-a provenance tag and never come from empirical sups.
+a provenance tag and never come from empirical sups.  A scan over scalar
+(TrivialReals) values is exact integer arithmetic over one common
+denominator; over IndexedLp it sums exact vectors pair by pair.
 
 Constructors provided here with their certificates:
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .coeffs import IndexedLp, ModuleVector, TrivialReals, real_value
 from .errors import CertificateError, DomainError, MixedContextError
@@ -120,8 +123,9 @@ class QuasiCocycle:
         self._memo: dict = {}
 
     def __call__(self, g) -> ModuleVector:
-        if g in self._memo:
-            return self._memo[g]
+        v = self._memo.get(g)  # values are ModuleVectors, never None
+        if v is not None:
+            return v
         if self.domain_check is not None:
             self.domain_check(g)
         v = self._fn(g)
@@ -206,27 +210,49 @@ def coboundary2(c):
     return d2
 
 
-def defect(q: QuasiCocycle, elements, pairs=None) -> DefectEstimate:
-    """Scan ||q(fg) - q(f) - f.q(g)|| over elements x elements (or explicit
-    pairs) and keep the exact maximum p-th power with a witness."""
-    d1 = coboundary1(q)
-    best = Fraction(0)
+def defect(q: QuasiCocycle, elements) -> DefectEstimate:
+    """Scan ||q(fg) - q(f) - f.q(g)|| over elements x elements and keep the
+    exact maximum p-th power with its first witness in row-major order.
+
+    The first pass evaluates q once per element and once per product f*g,
+    through q and its memo; the second reads the three values of each pair
+    by index.  Over TrivialReals (p = 1) the second pass is integer
+    arithmetic: every value is scaled to an integer over the common
+    denominator of all of them, and the maximum is divided back at the end.
+    """
+    elements = list(elements)
+    n = len(elements)
+    vals = [q(e) for e in elements]
+    prods = [q(f * g) for f in elements for g in elements]
     witness: tuple = ()
-    count = 0
-    if pairs is None:
-        elements = list(elements)
-        pairs = ((f, g) for f in elements for g in elements)
-    for f, g in pairs:
-        w = d1(f, g).norm_pth_power()
-        count += 1
-        if w > best:
-            best = w
-            witness = (f, g)
+    if isinstance(q.module, TrivialReals):
+        scalars = [v.scalar() for v in vals + prods]
+        denom = lcm(*{x.denominator for x in scalars})
+        ints = [x.numerator * (denom // x.denominator) for x in scalars]
+        a, c = ints[:n], ints[n:]  # denom * q(e_i), denom * q(e_i e_j) at i*n + j
+        top = 0
+        for i, ai in enumerate(a):
+            row = [abs(ai + aj - ck) for aj, ck in zip(a, c[i * n:(i + 1) * n])]
+            m = max(row)
+            if m > top:
+                top = m
+                witness = (elements[i], elements[row.index(m)])
+        best = Fraction(top, denom)
+    else:
+        best = Fraction(0)
+        k = 0
+        for f, vf in zip(elements, vals):
+            for g, vg in zip(elements, vals):
+                w = (vg.act(f) - prods[k] + vf).norm_pth_power()
+                k += 1
+                if w > best:
+                    best = w
+                    witness = (f, g)
     return DefectEstimate(
         exact_pth_power_max=best,
         p=q.module.p,
         witness=witness,
-        pairs_checked=count,
+        pairs_checked=n * n,
     )
 
 

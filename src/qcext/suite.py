@@ -370,9 +370,9 @@ def run_full_suite(
         for lam, q in sorted(cocycles.items()):
             d_val, k_val = consts[lam]
             area = (
-                combed_value(spec, lam, q, report_for(f, g)[lam])
-                + combed_value(spec, lam, q, report_for(g, h)[lam])
-                - combed_value(spec, lam, q, report_for(f, h)[lam])
+                combed_value(q, report_for(f, g)[lam])
+                + combed_value(q, report_for(g, h)[lam])
+                - combed_value(q, report_for(f, h)[lam])
             )
             results["combed-area-bound"].record(
                 area.norm_leq_exact(66 * d_val + 54 * k_val),

@@ -81,8 +81,8 @@ def test_averaged_and_combed_values():
         averaged_value(qb, [], [])
     # coset contributions along a b a^2: slopes 1 and 2 on the A side
     report = separation_report(spec, one, g)
-    assert combed_value(spec, "A", qa, report["A"]).scalar() == 3
-    assert combed_value(spec, "B", qb, report["B"]).scalar() == 1
+    assert combed_value(qa, report["A"]).scalar() == 3
+    assert combed_value(qb, report["B"]).scalar() == 1
 
 
 def test_free_product_extension_values_and_certificate():

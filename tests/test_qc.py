@@ -12,6 +12,7 @@ from qcext import (
     FreeProduct,
     FreeProductPairSpec,
     FreeRelCyclicSpec,
+    QuasiCocycle,
     antisymmetrize,
     brooks,
     brooks_homogenized,
@@ -21,10 +22,13 @@ from qcext import (
     defect,
     delta,
     embed_on_factor,
+    extend,
+    free_ball_words,
     step_quasimorphism,
     tree_edge_cocycle,
 )
 from qcext.errors import CertificateError, DomainError, MixedContextError
+from qcext.qc import half_sign
 
 F2 = FreeGroup(["x", "y"])
 REL_X = FreeRelCyclicSpec(F2, F2.parse("x"))
@@ -244,3 +248,82 @@ def test_combinators_accumulate_certificates():
     tripled = q.scale(-3)
     assert tripled.certified_defect.value == 3
     assert tripled.scalar_value(F2.parse("x")) == -3
+
+
+# -- the defect kernel against a per-pair reference ---------------------------
+
+
+def _reference_scan(q, elements):
+    """The scan pair by pair through coboundary1: (max, first witness, pairs)."""
+    d1 = coboundary1(q)
+    best, witness, count = Fraction(0), (), 0
+    for f in elements:
+        for g in elements:
+            w = d1(f, g).norm_pth_power()
+            count += 1
+            if w > best:
+                best, witness = w, (f, g)
+    return best, witness, count
+
+
+def _assert_matches_reference(q, elements):
+    est = defect(q, iter(elements))
+    best, witness, count = _reference_scan(q, elements)
+    assert est.exact_pth_power_max == best
+    assert est.witness == witness
+    assert est.pairs_checked == count
+    assert est.p == q.module.p
+    return est
+
+
+def test_defect_kernel_matches_reference_on_relx_half_sign_extension():
+    ext = extend(REL_X, {"C": half_sign(REL_X)})
+    ball = list(free_ball_words(F2, 2))
+    elements = ball + [ball[3], ball[0], ball[5], ball[3]]
+    est = _assert_matches_reference(ext.iota, elements)
+    assert est.pairs_checked == 21 * 21
+    assert est.exact_pth_power_max > 0
+    assert est.leq_exact(ext.certificate.value)
+
+
+def test_defect_kernel_matches_reference_over_mixed_denominators():
+    # values 3k/2 + sign(k)/6 on x^k: denominators 1, 3 and 6
+    q = cyclic_homomorphism(REL_X, slope=Fraction(3, 2)) + half_sign(REL_X).scale(
+        Fraction(1, 3))
+    x = F2.parse("x")
+    elements = [x**k for k in (0, 1, -1, 2, -3, 5, -4, 1, 3)]
+    est = _assert_matches_reference(q, elements)
+    assert est.exact_pth_power_max == Fraction(1, 6)
+    assert est.witness == (x, x)
+
+    # values k/4 + [k >= 0]/6: denominators 2, 3, 4 and 6 but never 12, so
+    # the common denominator is larger than every single one
+    q = cyclic_homomorphism(REL_X, slope=Fraction(1, 4)) + step_quasimorphism(
+        REL_X).scale(Fraction(1, 6))
+    elements = [x**k for k in (0, 2, -3, -5, 2)]
+    est = _assert_matches_reference(q, elements)
+    assert est.exact_pth_power_max == Fraction(1, 6)
+
+
+def test_defect_kernel_matches_reference_on_indexed_lp():
+    tree = tree_edge_cocycle(F2)
+    ball = list(free_ball_words(F2, 2))
+    est = _assert_matches_reference(tree, ball + [ball[1]])
+    assert est.exact_pth_power_max == 0 and est.witness == ()
+
+    # one bump 2*delta_(1, e:x) at x: the pair (x, x) sees it twice, disjointly
+    x = F2.parse("x")
+    bump = delta(tree.module, (F2.identity(), "e:x"), 2)
+    bumped = QuasiCocycle("bumped", F2, tree.module,
+                          lambda g: tree(g) + bump if g == x else tree(g))
+    est = _assert_matches_reference(bumped, ball + [x])
+    assert est.exact_pth_power_max == 8
+    assert est.witness == (x, x)
+
+
+def test_defect_kernel_on_an_empty_list():
+    for q in (step_quasimorphism(REL_X), tree_edge_cocycle(F2)):
+        est = _assert_matches_reference(q, [])
+        assert est.exact_pth_power_max == 0
+        assert est.witness == ()
+        assert est.pairs_checked == 0
