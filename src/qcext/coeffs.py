@@ -13,9 +13,10 @@ for reporting and an exact p-th-power flavor for certified comparisons.
 
 The public ModuleVector constructor converts every coefficient, checks every
 index and drops zeros.  Arithmetic on vectors that already passed it (+, -,
-unary -, scale, and act on TrivialReals) builds its result through the
+unary -, scale and act) builds its result through the
 module-private _trusted constructor, which skips those checks: the indices
-are the operands' own and every stored coefficient is a nonzero Fraction.
+are the operands' own (act translates them injectively) and every stored
+coefficient is a nonzero Fraction.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, MixedContextError
 from .groups import as_fraction
+
+_ZERO = Fraction(0)  # the coefficient off the support; Fractions are immutable
 
 
 class TrivialReals:
@@ -135,13 +138,13 @@ class ModuleVector:
         return sorted(self.coeffs, key=str)
 
     def coefficient(self, idx) -> Fraction:
-        return self.coeffs.get(idx, Fraction(0))
+        return self.coeffs.get(idx, _ZERO)
 
     def scalar(self) -> Fraction:
         """The lone coefficient of a TrivialReals vector."""
         if not isinstance(self.module, TrivialReals):
             raise DomainError("scalar() is only for TrivialReals vectors")
-        return self.coeffs.get((), Fraction(0))
+        return self.coeffs.get((), _ZERO)
 
     def _check(self, other: ModuleVector):
         if not isinstance(other, ModuleVector) or (
@@ -182,13 +185,13 @@ class ModuleVector:
         return self.scale(r)
 
     def act(self, g) -> ModuleVector:
-        if isinstance(self.module, TrivialReals):
+        module = self.module
+        if isinstance(module, TrivialReals):
             return self  # immutable, and the trivial action ignores g
-        out: dict = {}
-        for idx, c in self.coeffs.items():
-            j = self.module.act_index(g, idx)
-            out[j] = out.get(j, Fraction(0)) + c
-        return ModuleVector(self.module, out)
+        # Left translation is injective on indices, so no two coefficients
+        # land on one index and none becomes zero.
+        act_index = module.act_index
+        return _trusted(module, {act_index(g, i): c for i, c in self.coeffs.items()})
 
     def norm_pth_power(self) -> Fraction:
         """Exact sum of |coeff|^p."""

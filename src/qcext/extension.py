@@ -11,6 +11,30 @@ defect of the extension is certified by sum over subgroups of 54*K + 66*D,
 where D is the certified defect of the input and K bounds the input's norms
 on the strict 15C-ball of the relative metric.
 
+Telescoping on closed-form routes.  On free products and on a basis w the
+route from 1 to g is the route from 1 to p followed by one edge (p, g) with
+letter l and step h = l.elem, where p is g without its last syllable or
+block (`geodesics.route_last_edge`).  Every subgroup edge of such a route
+enters its own coset: its first vertex ends outside the subgroup (or is 1),
+so it is its own coset representative, and the cosets of distinct edges
+differ.  The edge's relative width is infinite on free products (distinct
+factor elements) and |k| >= 1 for a block w^k of a basis w.  So when
+3C < 1 on a basis w, and always on free products, every penetration is
+essential, none is excluded or uncertain, and
+
+    S_lam(1, g) = S_lam(1, p) + {p H_lam}   (disjoint; only for lam = l.lam)
+
+with the new coset's one pair (p, g) and step h; the trivial clause
+(g in H_lam, so p = 1) gives the same coset and pair.  Summing the averaged
+values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
+and iota(g) = iota(p) otherwise.  The evaluator walks down the prefixes to
+the deepest one already in iota's memo and evaluates upward through iota,
+so the memo and the module checks apply to every prefix.  A generic w
+separates (1, g) afresh, and so does a basis w with 3C >= 1: there the
+trivial clause separates x at width 1 while the block x of y x is
+excluded, so S_lam(1, .) is not prefix-closed.  The choice depends only on
+the family and on C.
+
 Inputs must be antisymmetric (declared and spot-checked).  `asnec_demo`
 runs the raw pipeline on a deliberately one-sided input to exhibit the
 unbounded antisymmetry violation, then reruns the symmetrized input.
@@ -24,6 +48,7 @@ from fractions import Fraction
 from .coeffs import ModuleVector, sum_vectors, zero
 from .embedding import seeded_rng
 from .errors import CertificateError, DomainError, MixedContextError
+from .geodesics import route_last_edge
 from .qc import (
     CertifiedBound,
     QuasiCocycle,
@@ -150,17 +175,21 @@ class ExtensionResult:
 
 def _combed_evaluator(spec, cocycles: dict, c_value, budget, result_box: dict):
     """Shared evaluator for iota: sum over subgroups of the combed bicombing
-    at (1, g), with conditionality notes accumulated into result_box."""
+    at (1, g), with conditionality notes accumulated into result_box.
+
+    Returns evaluate(iota, g) for g not yet in iota's memo.  On free
+    products, and on a basis w with 3C < 1, it telescopes along the route
+    (the lemma in the module docstring); otherwise it separates (1, g)."""
     module = next(iter(cocycles.values())).module
     identity = spec.identity()
+    lams = tuple(sorted(cocycles))
+    telescopes = spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)
 
-    def fn(g) -> ModuleVector:
-        if g == identity:
-            return zero(module)
+    def separated(g) -> ModuleVector:
         report = separation_report(spec, identity, g, c_value=c_value, budget=budget,
-                                   lams=tuple(sorted(cocycles)))
+                                   lams=lams)
         total = zero(module)
-        for lam in sorted(cocycles):
+        for lam in lams:
             sep = report[lam]
             if not sep.exhaustive:
                 result_box.setdefault("reasons", []).append(
@@ -174,7 +203,30 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget, result_box: dict):
             total = total + combed_value(cocycles[lam], sep)
         return total
 
-    return fn, module
+    def telescoped(iota: QuasiCocycle, g) -> ModuleVector:
+        p, letter = route_last_edge(spec, g)
+        # Walk down to the deepest prefix iota already knows, then evaluate
+        # the prefixes upward through iota: each of those calls finds its
+        # own prefix in the memo and returns after one step, so a word of
+        # any length evaluates without deep recursion.
+        below = []
+        v = p
+        while not (v.is_identity() or v in iota._memo):
+            below.append(v)
+            v = route_last_edge(spec, v)[0]
+        for v in reversed(below):
+            iota(v)
+        q = cocycles.get(letter.lam)
+        if q is None:
+            return iota(p)
+        return iota(p) + q(letter.elem).act(p)
+
+    def evaluate(iota: QuasiCocycle, g) -> ModuleVector:
+        if g == identity:
+            return zero(module)
+        return telescoped(iota, g) if telescopes else separated(g)
+
+    return evaluate, module
 
 
 def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
@@ -208,13 +260,13 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         total_cert += 54 * kval + 66 * q.certified_defect.value
 
     box: dict = {}
-    fn, module = _combed_evaluator(spec, cocycles, c, budget, box)
+    evaluate, module = _combed_evaluator(spec, cocycles, c, budget, box)
     all_exact = all(q.exact_cocycle for q in cocycles.values())
     iota = QuasiCocycle(
         name,
         spec.group,
         module,
-        fn,
+        lambda g: evaluate(iota, g),
         antisymmetric=all(q.antisymmetric for q in cocycles.values()),
         homogeneous=False,
         # On free products the combing follows the syllable normal form, so

@@ -27,7 +27,18 @@ so there the routes are the geodesics.
 
 `distance` lists no path where a closed form exists: on free products it is
 the syllable count of f^-1 g, and elsewhere the length of the route, so a
-basis w builds one path rather than every spelling.
+basis w builds one path rather than every spelling.  The engines work on
+u = f^-1 g, which `separation_report` computes once and hands to the route
+dispatch.
+
+The closed-form routes are prefix-closed.  The route from 1 to g spells g
+block by block: on free products a block is a syllable, on a basis w a
+maximal run of the basis letter or one other letter.  Dropping the last
+block leaves a prefix p whose blocks are the first blocks of g, so the
+route from 1 to g is the route from 1 to p followed by one edge (p, g),
+labelled by the last block's letter.  `route_last_edge` returns that split
+from one backward scan; `_basis_route` reads its blocks with the same rule
+(`_block_start`, `_block_letter`).  The extension telescopes along it.
 
 One breadth-first search kernel, `_bfs` over byte-encoded reduced words,
 runs every coned-graph search of the relative family: the generic engine
@@ -48,7 +59,7 @@ from itertools import islice, product
 from typing import Iterable, Sequence
 
 from .embedding import HLetter, SearchBudget, XLetter
-from .errors import BudgetExhaustedError, DomainError, NotGeodesicError
+from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeodesicError
 from .groups import FreeGroup, FreeProductElement, FreeWord
 
 
@@ -110,25 +121,34 @@ class GeodesicSet:
 def geodesics(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
     """All geodesics from f to g known to the family engine, in the
     deterministic letter order (ambient letters before subgroup letters)."""
-    budget = budget or spec.budget
-    if spec.family == "free_product":
-        return _free_product_geodesics(spec, f, g)
-    if spec.is_basis:
-        return _basis_geodesics(spec, f, g, budget)
-    return _generic_geodesics(spec, f, g, budget)
+    return _listing(spec, f, f.inverse() * g, budget or spec.budget)
 
 
 def geodesic_routes(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
     """One geodesic from f to g per distinct vertex tuple, each spelled as
     `geodesics` spells its first path with those vertices."""
+    return _routes(spec, f, f.inverse() * g, budget)
+
+
+def _listing(spec, f, u, budget: SearchBudget) -> GeodesicSet:
+    """`geodesics` from f to f*u, for a caller that already holds u = f^-1 g."""
+    if spec.family == "free_product":
+        return _free_product_geodesics(spec, f, u)
+    if spec.is_basis:
+        return _basis_geodesics(spec, f, u, budget)
+    return _generic_geodesics(spec, f, u, budget)
+
+
+def _routes(spec, f, u, budget: SearchBudget | None) -> GeodesicSet:
+    """`geodesic_routes` from f to f*u, for a caller that already holds u."""
     if spec.family != "free_product" and spec.is_basis:
-        letters, verts = _basis_route(spec, f, g)
+        letters, verts = _basis_route(spec, f, u)
         return GeodesicSet(
             distance=len(letters),
             geodesics=(CayleyPath(f, letters, verts),),
             exhaustive=True,
         )
-    return geodesics(spec, f, g, budget=budget)
+    return _listing(spec, f, u, budget or spec.budget)
 
 
 def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
@@ -139,12 +159,37 @@ def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
     return geodesic_routes(spec, f, g, budget=budget).distance
 
 
-def _free_product_geodesics(spec, f, g) -> GeodesicSet:
-    group = spec.group
-    letters = [
-        HLetter(spec.names[syl[0]], FreeProductElement(group, (syl,)))
-        for syl in (f.inverse() * g).raw
-    ]
+def route_last_edge(spec, g):
+    """The last edge of the closed-form route from 1 to g, as (p, letter)
+    with p * letter.elem == g; None for g = 1 or a generic w.
+
+    On free products p is g without its last syllable and the letter is
+    that syllable's HLetter; on a basis w, p is g without its last block
+    and the letter is the ambient letter of a one-letter block or w^k for
+    a run of k basis letters.  Raises MixedContextError for an element of
+    another group.
+    """
+    if g.group is not spec.group and g.group != spec.group:
+        raise MixedContextError("element from a different group")
+    if spec.family == "free_product":
+        raw = g.raw
+        if not raw:
+            return None
+        return FreeProductElement(spec.group, raw[:-1]), _syllable_letter(spec, raw[-1])
+    ls = g.letters
+    if not spec.is_basis or not ls:
+        return None
+    i = _block_start(ls, len(ls), abs(spec.w.letters[0]))
+    return FreeWord(spec.group, ls[:i]), _block_letter(spec, ls, i, len(ls))
+
+
+def _syllable_letter(spec, syl) -> HLetter:
+    """The subgroup letter of one raw free-product syllable."""
+    return HLetter(spec.names[syl[0]], FreeProductElement(spec.group, (syl,)))
+
+
+def _free_product_geodesics(spec, f, u) -> GeodesicSet:
+    letters = [_syllable_letter(spec, syl) for syl in u.raw]
     # Syllable normal form is the unique geodesic spelling: every edge moves
     # within one factor, and merging or splitting syllables only lengthens.
     return GeodesicSet(
@@ -154,13 +199,32 @@ def _free_product_geodesics(spec, f, g) -> GeodesicSet:
     )
 
 
-def _basis_route(spec, f, g) -> tuple[tuple, tuple]:
-    """The closed-form route from f to g: one letter per block of u = f^-1 g
-    (a maximal run of the basis letter, or one other letter), the ambient
-    letter standing for a run of exponent +-1, and the vertex tuple that
-    every geodesic shares."""
+def _block_start(ls, j: int, wabs: int) -> int:
+    """Start of the block of the reduced word ls that ends at j: a maximal
+    run of the basis letter (all one sign, as ls is reduced), or one other
+    letter."""
+    i = j - 1
+    if abs(ls[i]) == wabs:
+        while i > 0 and ls[i - 1] == ls[i]:
+            i -= 1
+    return i
+
+
+def _block_letter(spec, ls, i: int, j: int):
+    """The edge letter of the block ls[i:j]: the ambient letter of a single
+    letter (for the basis letter, it stands for the run of exponent +-1),
+    else the subgroup letter of the run, w^(j - i) or w^(i - j) whatever the
+    sign of w."""
+    if j - i == 1:
+        return spec.ambient_letters[ls[i]]
+    return spec.power_letter(j - i if ls[i] == spec.w.letters[0] else i - j)
+
+
+def _basis_route(spec, f, u) -> tuple[tuple, tuple]:
+    """The closed-form route from f to f*u: one letter per block of u, and
+    the vertex tuple that every geodesic shares."""
     group = spec.group
-    ls = (f.inverse() * g).letters
+    ls = u.letters
     fl = f.letters
     n = len(fl)
     # f * u[:p] cancels min(p, cut) letters, where cut letters of u cancel
@@ -168,30 +232,25 @@ def _basis_route(spec, f, g) -> tuple[tuple, tuple]:
     cut = 0
     while cut < len(ls) and cut < n and fl[n - 1 - cut] == -ls[cut]:
         cut += 1
-    wcode = spec.w.letters[0]
-    ambient = spec.ambient_letters
+    wabs = abs(spec.w.letters[0])
+    ends = []
+    j = len(ls)
+    while j:
+        ends.append(j)
+        j = _block_start(ls, j, wabs)
     letters = []
     verts = [f]
     i = 0
-    while i < len(ls):
-        j = i + 1
-        if abs(ls[i]) == abs(wcode):
-            # u is reduced, so the run is all one sign
-            while j < len(ls) and ls[j] == ls[i]:
-                j += 1
-        if j - i == 1:
-            letters.append(ambient[ls[i]])
-        else:
-            # the run is w^(j - i) or w^(i - j), whatever the sign of w
-            letters.append(spec.power_letter(j - i if ls[i] == wcode else i - j))
+    for j in reversed(ends):
+        letters.append(_block_letter(spec, ls, i, j))
         m = min(j, cut)
         verts.append(FreeWord(group, fl[: n - m] + ls[m:j]))
         i = j
     return tuple(letters), tuple(verts)
 
 
-def _basis_geodesics(spec, f, g, budget: SearchBudget) -> GeodesicSet:
-    letters, verts = _basis_route(spec, f, g)
+def _basis_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
+    letters, verts = _basis_route(spec, f, u)
     # A +-1 run of the basis letter is spelled by the ambient letter or by
     # the subgroup letter w^+-1; both edges join the same two vertices.
     wcode = spec.w.letters[0]
@@ -306,8 +365,7 @@ def _bfs(moves, cap_len: int, max_depth: float = math.inf,
     return dist
 
 
-def _generic_geodesics(spec, f, g, budget: SearchBudget) -> GeodesicSet:
-    u = f.inverse() * g
+def _generic_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
     target = _to_bytes(u)
     wl = len(spec.w.letters)
     pcap = min(-(-(len(target) + budget.slack) // wl) + 1, budget.max_power)

@@ -40,7 +40,7 @@ from .errors import (
     NotSeparatingError,
     PartitionNotFoundError,
 )
-from .geodesics import CayleyPath, GeodesicSet, geodesic_routes, path_has_edge_in_coset
+from .geodesics import CayleyPath, GeodesicSet, _routes, geodesic_routes, path_has_edge_in_coset
 from .groups import as_fraction
 
 
@@ -158,7 +158,7 @@ def separation_report(
             trivial_lams.append(lam)
     geo_needed = [lam for lam in lams if lam not in trivial_lams]
     if geo is None and geo_needed and f != g:
-        geo = geodesic_routes(spec, f, g, budget=budget)
+        geo = _routes(spec, f, u, budget)  # the routes of geodesic_routes, from u
 
     for lam in lams:
         if lam in trivial_lams:

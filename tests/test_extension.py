@@ -31,9 +31,10 @@ from qcext import (
     step_quasimorphism,
     tree_edge_cocycle,
 )
-from qcext.coeffs import sum_vectors
+from qcext.coeffs import real_value, sum_vectors, zero
+from qcext.embedding import spec_from_json
 from qcext.errors import CertificateError, DomainError, MixedContextError
-from qcext.qc import half_sign
+from qcext.qc import CertifiedBound, half_sign
 from qcext.suite import ball_domain
 
 # the package's `geodesics` attribute is the function, not the module
@@ -314,3 +315,138 @@ def test_carried_steps_are_the_subgroup_elements_of_their_pairs():
                         assert averaged_value(q, pairs, steps) == mean
                         seen += len(pairs)
         assert seen > 0
+
+
+# -- telescoped evaluation on closed-form routes ---------------------------------
+
+route_last_edge = geodesics_module.route_last_edge
+extension_module = importlib.import_module("qcext.extension")
+
+
+def _reference(spec, inputs, c, g):
+    """iota(g) from one report of (1, g): the sum over the input labels of
+    the combed value, with the band exclusions that report logs."""
+    one = spec.identity()
+    lams = tuple(sorted(inputs))
+    module = inputs[lams[0]].module
+    if g == one:
+        return zero(module), []
+    report = separation_report(spec, one, g, c_value=c, lams=lams)
+    total = sum_vectors([combed_value(inputs[lam], report[lam]) for lam in lams], module)
+    return total, [b for lam in lams for b in report[lam].band_excluded]
+
+
+def _z2_z3_case():
+    spec = spec_from_json({
+        "family": "free_product",
+        "factors": [{"kind": "cyclic", "order": 2, "sym": "a"},
+                    {"kind": "cyclic", "order": 3, "sym": "b"}],
+    })
+    b = spec.parse("b")
+    table = {spec.identity(): 0, b: 1, b * b: -1}
+    # an antisymmetric bounded function on Z/3; its defect is |q(b^2) - 2q(b)| = 3
+    q = QuasiCocycle(
+        "sign[b]", spec.group, TrivialReals(),
+        lambda g: real_value(table[g]), antisymmetric=True,
+        certified_defect=CertifiedBound(3, "user-supplied"),
+    )
+    return spec, {"B": q}
+
+
+def _telescoping_cases():
+    A, B = FreeGroup(["x", "y"]), FreeGroup(["t"])
+    fp = FreeProductPairSpec(FreeProduct([A, B]), ["A", "B"])
+    brooks_hom = {"A": embed_on_factor(fp, "A", brooks(A, A.parse("x y"))),
+                  "B": cyclic_homomorphism(fp, "B")}
+    z_spec, z_inputs = _z2_z3_case()
+    rel_inv = FreeRelCyclicSpec(F2, F2.parse("x^-1"))
+    cases = [
+        ("fp-brooks", fp, 3, Fraction(0), brooks_hom),
+        ("z2*z3", z_spec, 4, Fraction(0), z_inputs),
+        ("tree-edges", fp, 3, Fraction(0), {"A": tree_edge_cocycle(fp, "A")}),
+    ]
+    for name, spec in (("rel <x>", REL_X), ("rel <x^-1>", rel_inv)):
+        for c in (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1)):
+            cases.append((f"{name} C={c}", spec, 4, c, {"C": half_sign(spec)}))
+    return cases
+
+
+def test_fresh_iota_matches_report_reference():
+    # Longest words first, so each fresh evaluation walks down its prefixes;
+    # C = 1/3 and 1 on a basis w take the report path, where a telescoped
+    # value would differ (the trivial clause breaks prefix-closure there).
+    for name, spec, radius, c, inputs in _telescoping_cases():
+        res = extend(spec, inputs, c_value=c)
+        bands = []
+        for g in reversed(ball_domain(spec, radius)):
+            want, logged = _reference(spec, inputs, c, g)
+            bands.extend(logged)
+            assert res.iota(g) == want, (name, str(g))
+        res.sync_notes()
+        assert res.band_log == bands, name
+        assert not res.conditional, name
+        assert bool(bands) == (c >= Fraction(1, 3)), name
+
+
+def test_telescoping_depends_only_on_family_and_c(monkeypatch):
+    calls = []
+    report = extension_module.separation_report
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(extension_module, "separation_report", counted)
+    words = [F2.word(ls) for ls in _letters(2)]
+    for c, separates in ((Fraction(0), False), (Fraction(1, 6), False),
+                         (Fraction(1, 3), True), (Fraction(1), True)):
+        calls.clear()
+        res = extend(REL_X, {"C": half_sign(REL_X)}, c_value=c)
+        for g in words:
+            res.iota(g)
+        assert bool(calls) == separates, c
+    rel_xy = FreeRelCyclicSpec(
+        F2, F2.parse("x y"), budget=SearchBudget(max_vertices=20_000, max_power=6)
+    )
+    calls.clear()
+    res = extend(rel_xy, {"C": cyclic_homomorphism(rel_xy)}, c_value=Fraction(4, 3))
+    res.iota(F2.parse("x y x"))
+    assert calls == [F2.parse("x y x")]
+
+
+def test_route_last_edge_is_the_routes_last_step():
+    for name, spec, radius, _, _ in _telescoping_cases():
+        one = spec.identity()
+        assert route_last_edge(spec, one) is None
+        for g in ball_domain(spec, radius):
+            if g == one:
+                continue
+            route = geodesics_module.geodesic_routes(spec, one, g).geodesics[0]
+            p, letter = route_last_edge(spec, g)
+            assert (p, letter) == (route.vertices()[-2], route.letters[-1]), (name, str(g))
+            assert p * letter.elem == g
+    rel_xy = FreeRelCyclicSpec(F2, F2.parse("x y"))
+    for ls in _letters(2):
+        assert route_last_edge(rel_xy, F2.word(ls)) is None
+
+
+def test_long_word_telescopes_without_recursion():
+    g = F2.parse("x y") ** 2500  # 5,000 blocks
+    res = extend(REL_X, {"C": half_sign(REL_X)})
+    got = res.iota(g)
+    assert got.scalar() == 1250
+    del res  # the memo holds every prefix
+    assert got == _reference(REL_X, {"C": half_sign(REL_X)}, Fraction(0), g)[0]
+
+
+def test_foreign_elements_raise_mixed_context():
+    other = FreeGroup(["x", "y", "z"])
+    res = extend(REL_X, {"C": half_sign(REL_X)})
+    for g in (other.parse("x"), other.identity(), other.parse("y x^2")):
+        with pytest.raises(MixedContextError):
+            res.iota(g)
+    spec = fp_spec()
+    res = extend(spec, {lam: cyclic_homomorphism(spec, lam) for lam in ("A", "B")})
+    foreign = FreeProduct([FreeGroup(["a"]), FreeGroup(["c"])])
+    with pytest.raises(MixedContextError):
+        res.iota(foreign.parse("a c"))
