@@ -11,6 +11,11 @@ Two module shapes cover everything here:
 Coefficients are exact Fractions throughout; norms come in a float flavor
 for reporting and an exact p-th-power flavor for certified comparisons.
 
+Modules and vectors are frozen slotted dataclasses: setting a field raises
+FrozenInstanceError (an AttributeError), instances have no __dict__, and
+equality compares the fields.  The guard stops at a vector's coefficient
+dict; no code here writes to that dict once a vector holds it.
+
 The public ModuleVector constructor converts every coefficient, checks every
 index and drops zeros.  Arithmetic on vectors that already passed it (+, -,
 unary -, scale and act) builds its result through the
@@ -21,8 +26,9 @@ coefficient is a nonzero Fraction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable
 
 from .errors import DomainError, MixedContextError
 from .groups import as_fraction
@@ -30,25 +36,11 @@ from .groups import as_fraction
 _ZERO = Fraction(0)  # the coefficient off the support; Fractions are immutable
 
 
+@dataclass(frozen=True, slots=True)
 class TrivialReals:
     """R with the trivial action.  The only index is the empty tuple."""
 
-    __slots__ = ("p",)
-
-    def __init__(self):
-        object.__setattr__(self, "p", 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrivialReals is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TrivialReals)
-
-    def __hash__(self):
-        return hash("TrivialReals")
-
-    def __repr__(self):
-        return "TrivialReals()"
+    p: ClassVar[int] = 1
 
     def valid_index(self, idx) -> bool:
         return idx == ()
@@ -57,34 +49,21 @@ class TrivialReals:
         return idx
 
 
+@dataclass(frozen=True, slots=True)
 class IndexedLp:
     """l^p on (element, tag) indices with g . (h, t) = (g h, t)."""
 
-    __slots__ = ("group", "p", "tags")
+    group: object
+    p: int = 2
+    tags: tuple[str, ...] = ("e",)
 
-    def __init__(self, group, p: int = 2, tags: Sequence[str] = ("e",)):
-        if not isinstance(p, int) or p < 1:
+    def __post_init__(self):
+        if not isinstance(self.p, int) or self.p < 1:
             raise DomainError("p must be an integer >= 1 for exact norms")
-        tags = tuple(tags)
+        tags = tuple(self.tags)
         if len(set(tags)) != len(tags) or not tags:
             raise DomainError("tags must be nonempty and distinct")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "tags", tags)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexedLp is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndexedLp)
-            and self.group == other.group
-            and self.p == other.p
-            and self.tags == other.tags
-        )
-
-    def __hash__(self):
-        return hash(("IndexedLp", self.p, self.tags))
 
     def __repr__(self):
         return f"IndexedLp(p={self.p}, tags={self.tags})"
@@ -100,13 +79,15 @@ class IndexedLp:
         return (g * elem, tag)
 
 
+@dataclass(frozen=True, slots=True)
 class ModuleVector:
     """Finitely supported vector in a coefficient module.
 
     Stores index -> Fraction with zeros dropped.  All arithmetic stays exact.
     """
 
-    __slots__ = ("module", "coeffs")
+    module: object
+    coeffs: dict
 
     def __init__(self, module, coeffs: dict | None = None):
         clean = {}
@@ -119,14 +100,6 @@ class ModuleVector:
             clean[idx] = c
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.module == other.module and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((frozenset(self.coeffs.items()),))

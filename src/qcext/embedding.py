@@ -54,6 +54,7 @@ def seeded_rng(seed: int, label: str) -> random.Random:
 # -- alphabet letters ---------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class XLetter:
     """Edge label from the extra generating set X (one signed generator).
 
@@ -61,7 +62,10 @@ class XLetter:
     is None; an HLetter always lies in the subgroup of its own `lam`.
     """
 
-    __slots__ = ("sym", "code", "elem", "lam")
+    sym: str
+    code: int
+    elem: FreeWord
+    lam: str | None
 
     def __init__(self, group: FreeGroup, code: int, lam: str | None = None):
         sym = group.letter_symbol(code)
@@ -69,9 +73,6 @@ class XLetter:
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "elem", FreeWord(group, (code,)))
         object.__setattr__(self, "lam", lam)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XLetter is immutable")
 
     def __eq__(self, other):
         return isinstance(other, XLetter) and self.elem == other.elem
@@ -89,6 +90,7 @@ class XLetter:
         return str(self)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class HLetter:
     """Edge label from one subgroup alphabet: a nontrivial subgroup element.
 
@@ -96,15 +98,9 @@ class HLetter:
     subgroups (elem = w^power) and used for deterministic ordering.
     """
 
-    __slots__ = ("lam", "elem", "power")
-
-    def __init__(self, lam: str, elem, power: int | None = None):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "elem", elem)
-        object.__setattr__(self, "power", power)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HLetter is immutable")
+    lam: str
+    elem: object
+    power: int | None = None
 
     def __eq__(self, other):
         return (
@@ -224,7 +220,6 @@ class FreeProductPairSpec:
         self,
         group: FreeProduct,
         names: Sequence[str] | None = None,
-        c_value=Fraction(0),
         budget: SearchBudget | None = None,
     ):
         names = tuple(names) if names is not None else _DEFAULT_NAMES[: len(group.factors)]
@@ -232,9 +227,6 @@ class FreeProductPairSpec:
             raise DomainError("need one distinct label per factor")
         self.group = group
         self.names = names
-        self.c_value = as_fraction(c_value)
-        if self.c_value < 0:
-            raise DomainError("C must be nonnegative")
         self.budget = budget or SearchBudget()
         self._index = {nm: i for i, nm in enumerate(names)}
 
@@ -302,14 +294,7 @@ class FreeProductPairSpec:
         """A nontrivial element of the chosen factor, or None if impossible."""
         factor = self.group.factors[idx]
         if isinstance(factor, FreeGroup):
-            k = rng.randint(1, size)
-            letters: list[int] = []
-            while len(letters) < k:
-                c = rng.choice([1, -1]) * rng.randint(1, len(factor.gens))
-                if letters and letters[-1] == -c:
-                    continue
-                letters.append(c)
-            return factor.word(letters)
+            return factor.random_word(rng, rng.randint(1, size))
         n = len(factor.names)
         if n < 2:
             return None
@@ -507,14 +492,7 @@ class FreeRelCyclicSpec:
         return self.c_value
 
     def random_element(self, rng: random.Random, max_len: int = 8) -> FreeWord:
-        k = rng.randint(0, max_len)
-        letters: list[int] = []
-        while len(letters) < k:
-            c = rng.choice([1, -1]) * rng.randint(1, len(self.group.gens))
-            if letters and letters[-1] == -c:
-                continue
-            letters.append(c)
-        return FreeWord(self.group, tuple(letters))
+        return self.group.random_word(rng, rng.randint(0, max_len))
 
     def random_subgroup_element(self, lam, rng: random.Random, size: int = 5) -> FreeWord:
         return self.subgroup_element(rng.randint(-size, size))
@@ -535,6 +513,11 @@ def spec_from_json(data: dict):
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad C value {c_raw!r}: {e}") from None
     if family == "free_product":
+        if c_raw is not None:
+            raise ConfigError(
+                'free_product takes no "C" (its polygon constant is 0); '
+                'set the run-level "c" key instead'
+            )
         factors = data.get("factors")
         if not isinstance(factors, list) or not factors:
             raise ConfigError("free_product needs a nonempty factors list")
@@ -561,12 +544,7 @@ def spec_from_json(data: dict):
                 raise ConfigError(f"unknown factor kind {f.get('kind')!r}")
         names = data.get("names")
         try:
-            return FreeProductPairSpec(
-                FreeProduct(built),
-                names=names,
-                c_value=c_val if c_val is not None else Fraction(0),
-                budget=budget,
-            )
+            return FreeProductPairSpec(FreeProduct(built), names=names, budget=budget)
         except DomainError as e:
             raise ConfigError(str(e)) from None
     if family == "free_rel_cyclic":

@@ -460,17 +460,14 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
     group = spec.group
     if spec.is_basis:
         out = {}
-        wc = abs(spec.w.letters[0])
+        wabs = abs(spec.w.letters[0])
         for v in free_ball_words(group, max_len):
             blocks = 0
-            i = 0
             ls = v.letters
-            while i < len(ls):
-                if abs(ls[i]) == wc:
-                    while i + 1 < len(ls) and abs(ls[i + 1]) == wc:
-                        i += 1
+            j = len(ls)
+            while j:
+                j = _block_start(ls, j, wabs)
                 blocks += 1
-                i += 1
             out[v] = blocks
         return out
     sweep_len = sweep_len if sweep_len is not None else max_len + 2

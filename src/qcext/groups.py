@@ -1,5 +1,7 @@
 """Group arithmetic: free groups, finite table groups, and free products.
 
+Groups and elements are frozen slotted dataclasses: setting a field raises
+FrozenInstanceError (an AttributeError) and instances have no __dict__.
 Elements are immutable value objects tied to their group.  Free-group words
 are stored as tuples of signed ints (generator i maps to i+1, its inverse to
 -(i+1)) and are always freely reduced; finite-group elements as their table
@@ -13,10 +15,13 @@ ints and its hash and equality stay in C.  Factor elements are built only at
 the API boundary: `FreeProduct.syllable` reads a factor element's raw value,
 and the `syllables` view and `str` wrap raw values back.
 
-Equality compares the payload (letters, raw syllables or table index) first
-and the group second, by identity before value.  Hashes are payload-only:
-equal elements have equal payloads, and since no symbol string enters the
-hash, an element's hash does not depend on PYTHONHASHSEED.
+Element equality compares the payload (letters, raw syllables or table
+index) first and the group second, by identity before value.  Element
+hashes are payload-only: equal elements have equal payloads, and since no
+symbol string enters the hash, an element's hash does not depend on
+PYTHONHASHSEED.  Groups compare and hash through the dataclass, by their
+defining fields (gens; names and table; factors) and not by the lookup
+tables derived from them.
 
 Parsing uses one token grammar everywhere: tokens separated by whitespace or
 '*', each token either '1' (identity) or 'sym' or 'sym^k' with k a nonzero
@@ -27,6 +32,7 @@ free product).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import neg
 from typing import Iterable, Sequence
@@ -57,10 +63,12 @@ def _parse_token(token: str) -> tuple[str, int]:
     return sym, k
 
 
+@dataclass(frozen=True, slots=True)
 class FreeGroup:
     """Finitely generated free group on named generators."""
 
-    __slots__ = ("gens", "_index")
+    gens: tuple[str, ...]
+    _index: dict = field(compare=False)
 
     def __init__(self, gens: Sequence[str]):
         gens = tuple(gens)
@@ -71,17 +79,6 @@ class FreeGroup:
                 raise UnknownGeneratorError(f"bad generator symbol {g!r}")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "_index", {g: i + 1 for i, g in enumerate(gens)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeGroup is immutable")
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FreeGroup) and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash(("FreeGroup", self.gens))
 
     def __repr__(self):
         return f"FreeGroup({', '.join(self.gens)})"
@@ -118,6 +115,17 @@ class FreeGroup:
     def generators(self) -> list[FreeWord]:
         return [self.gen(g) for g in self.gens]
 
+    def random_word(self, rng, length: int) -> FreeWord:
+        """A reduced word of the given length, drawn letter by letter with
+        rng, redrawing any letter that would cancel."""
+        letters: list[int] = []
+        while len(letters) < length:
+            c = rng.choice([1, -1]) * rng.randint(1, len(self.gens))
+            if letters and letters[-1] == -c:
+                continue
+            letters.append(c)
+        return FreeWord(self, tuple(letters))
+
     # -- protocol used by FreeProduct ----------------------------------------
 
     @staticmethod
@@ -152,18 +160,12 @@ class FreeGroup:
         return self.gens[abs(code) - 1]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FreeWord:
     """Freely reduced word in a FreeGroup.  Immutable and hashable."""
 
-    __slots__ = ("group", "letters")
-
-    def __init__(self, group: FreeGroup, letters: tuple[int, ...]):
-        # Trusts callers to pass reduced tuples; FreeGroup.word reduces.
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeWord is immutable")
+    group: FreeGroup
+    letters: tuple[int, ...]  # trusted to be reduced; FreeGroup.word reduces
 
     def __eq__(self, other):
         if not isinstance(other, FreeWord):
@@ -236,17 +238,12 @@ class FreeWord:
         return f"<{self}>"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FiniteElement:
     """Element of a FiniteTableGroup, identified by its table index."""
 
-    __slots__ = ("group", "index")
-
-    def __init__(self, group: FiniteTableGroup, index: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteElement is immutable")
+    group: FiniteTableGroup
+    index: int
 
     @property
     def name(self) -> str:
@@ -289,6 +286,7 @@ class FiniteElement:
         return f"<{self.name}>"
 
 
+@dataclass(frozen=True, slots=True)
 class FiniteTableGroup:
     """Finite group given by a multiplication table.
 
@@ -297,7 +295,10 @@ class FiniteTableGroup:
     associativity, so anything that survives construction is a group.
     """
 
-    __slots__ = ("names", "table", "_inverse", "_name_index")
+    names: tuple[str, ...]
+    table: tuple[tuple[int, ...], ...]
+    _inverse: tuple[int, ...] = field(compare=False)
+    _name_index: dict = field(compare=False)
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]]):
         names = tuple(names)
@@ -340,19 +341,6 @@ class FiniteTableGroup:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_inverse", tuple(inverse))
         object.__setattr__(self, "_name_index", {nm: i for i, nm in enumerate(names)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteTableGroup is immutable")
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FiniteTableGroup)
-            and self.names == other.names
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash(("FiniteTableGroup", self.names, self.table))
 
     def __repr__(self):
         return f"FiniteTableGroup({', '.join(self.names)})"
@@ -407,6 +395,7 @@ def cyclic_group(order: int, sym: str = "g") -> FiniteTableGroup:
     return FiniteTableGroup(names, table)
 
 
+@dataclass(frozen=True, slots=True)
 class FreeProduct:
     """Free product of a sequence of factor groups.
 
@@ -417,7 +406,8 @@ class FreeProduct:
     unambiguous; a collision raises DomainError.
     """
 
-    __slots__ = ("factors", "_owner")
+    factors: tuple
+    _owner: dict = field(compare=False)
 
     def __init__(self, factors: Sequence):
         factors = tuple(factors)
@@ -432,17 +422,6 @@ class FreeProduct:
                     )
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_owner", owner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeProduct is immutable")
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FreeProduct) and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash(("FreeProduct", self.factors))
 
     def __repr__(self):
         return "FreeProduct(" + " * ".join(repr(f) for f in self.factors) + ")"
@@ -468,17 +447,12 @@ class FreeProduct:
         return out
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FreeProductElement:
     """Normal-form element of a FreeProduct, stored as raw syllables."""
 
-    __slots__ = ("group", "raw")
-
-    def __init__(self, group: FreeProduct, raw: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "raw", raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeProductElement is immutable")
+    group: FreeProduct
+    raw: tuple
 
     @property
     def syllables(self) -> tuple:

@@ -109,7 +109,6 @@ class QuasiCocycle:
         homogeneous: bool = False,
         exact_cocycle: bool = False,
         certified_defect: CertifiedBound | None = None,
-        domain_check=None,
     ):
         self.name = name
         self.group = group
@@ -119,15 +118,12 @@ class QuasiCocycle:
         self.homogeneous = homogeneous
         self.exact_cocycle = exact_cocycle
         self.certified_defect = certified_defect
-        self.domain_check = domain_check
         self._memo: dict = {}
 
     def __call__(self, g) -> ModuleVector:
         v = self._memo.get(g)  # values are ModuleVectors, never None
         if v is not None:
             return v
-        if self.domain_check is not None:
-            self.domain_check(g)
         v = self._fn(g)
         if v.module != self.module:
             raise MixedContextError(f"{self.name} produced a vector in a foreign module")
@@ -188,7 +184,6 @@ class QuasiCocycle:
             homogeneous=self.homogeneous,
             exact_cocycle=self.exact_cocycle,
             certified_defect=cert,
-            domain_check=self.domain_check,
         )
 
 
@@ -279,7 +274,6 @@ def antisymmetrize(q: QuasiCocycle) -> QuasiCocycle:
         homogeneous=q.homogeneous,
         exact_cocycle=q.exact_cocycle,
         certified_defect=cert,
-        domain_check=q.domain_check,
     )
 
 

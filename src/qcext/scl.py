@@ -459,14 +459,7 @@ def free_dist_experiment(k_list, seed: int = 0) -> dict:
     rng = seeded_rng(seed, "free-dist-injectivity")
     injective_sample = 0
     for _ in range(50):
-        k = rng.randint(1, 8)
-        letters = []
-        while len(letters) < k:
-            c0 = rng.choice([1, -1]) * rng.randint(1, 4)
-            if letters and letters[-1] == -c0:
-                continue
-            letters.append(c0)
-        wd = h_group.word(letters)
+        wd = h_group.random_word(rng, rng.randint(1, 8))
         if push(wd).is_identity():
             raise DomainError(f"injectivity sample failed at {wd}")
         injective_sample += 1

@@ -136,7 +136,6 @@ def test_free_product_rel_distance_zero_or_infinite():
     far = spec.rel_distance(one, G.parse("a^3"), "A")
     assert far.status == INFINITE
     assert spec.theoretical_c() == 0
-    assert spec.c_value == 0
 
 
 def test_coset_reps():
@@ -192,6 +191,33 @@ def test_spec_from_json():
         spec_from_json({"family": "nonsense"})
     with pytest.raises(ConfigError):
         spec_from_json({"family": "free_rel_cyclic", "gens": ["x", "y"]})
+
+
+def test_free_product_spec_rejects_polygon_constant():
+    # C = 0 is a theorem on free products, so a spec-level "C" would be
+    # ignored; the run-level "c" key is where a constant goes.
+    data = {
+        "family": "free_product",
+        "factors": [{"kind": "free", "gens": ["a"]}, {"kind": "free", "gens": ["b"]}],
+        "C": "5",
+    }
+    with pytest.raises(ConfigError, match='"c"'):
+        spec_from_json(data)
+    del data["C"]
+    assert spec_from_json(data).theoretical_c() == 0
+
+
+def test_random_word_is_reduced_and_keeps_the_draw_sequence():
+    rng, ref_rng = seeded_rng(3, "words"), seeded_rng(3, "words")
+    for length in range(12):
+        word = F2.random_word(rng, length)
+        letters: list[int] = []
+        while len(letters) < length:
+            c = ref_rng.choice([1, -1]) * ref_rng.randint(1, 2)
+            if not (letters and letters[-1] == -c):
+                letters.append(c)
+        assert word.letters == tuple(letters)
+        assert word == F2.word(letters) and len(word) == length
 
 
 def test_check_local_finiteness_basis():
