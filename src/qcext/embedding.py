@@ -56,7 +56,8 @@ def seeded_rng(seed: int, label: str) -> random.Random:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class XLetter:
-    """Edge label from the extra generating set X (one signed generator).
+    """Edge label from the extra generating set X: one generator or its
+    inverse, by letter code (`FreeWord.codes`).
 
     `lam` names the subgroup the generator lies in (a basis letter w), or
     is None; an HLetter always lies in the subgroup of its own `lam`.
@@ -69,7 +70,7 @@ class XLetter:
 
     def __init__(self, group: FreeGroup, code: int, lam: str | None = None):
         sym = group.letter_symbol(code)
-        object.__setattr__(self, "sym", sym if code > 0 else sym + "^-1")
+        object.__setattr__(self, "sym", sym + "^-1" if code & 1 else sym)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "elem", FreeWord(group, (code,)))
         object.__setattr__(self, "lam", lam)
@@ -81,7 +82,7 @@ class XLetter:
         return hash(("X", self.code))
 
     def sort_key(self):
-        return (0, 2 * abs(self.code) + (0 if self.code > 0 else 1), 0)
+        return (0, self.code, 0)
 
     def __str__(self):
         return f"X:{self.sym}"
@@ -333,7 +334,7 @@ class FreeRelCyclicSpec:
         self.group = group
         self.w = w
         self.lam_name = lam
-        self.is_basis = len(w.letters) == 1
+        self.is_basis = len(w) == 1
         if c_value is None and self.is_basis:
             c_value = Fraction(0)
         self.c_value = None if c_value is None else as_fraction(c_value)
@@ -344,11 +345,10 @@ class FreeRelCyclicSpec:
         # Edge letters are built once per spec: the ambient letters by code
         # (x, x^-1, y, y^-1, ...), marked as subgroup members when w is that
         # basis letter, and the subgroup letters by power, on demand.
-        basis = abs(w.letters[0]) if self.is_basis else None
+        basis = w.codes[0] >> 1 if self.is_basis else None
         self.ambient_letters = {
-            code: XLetter(group, code, lam if i == basis else None)
-            for i in range(1, len(group.gens) + 1)
-            for code in (i, -i)
+            code: XLetter(group, code, lam if code >> 1 == basis else None)
+            for code in range(2 * len(group.gens))
         }
         self._power_letters: dict[int, HLetter] = {}
 
@@ -369,15 +369,13 @@ class FreeRelCyclicSpec:
         concatenate without cancellation, so this is a length check."""
         if g.group != self.group:
             raise MixedContextError("element from a different group")
-        n = len(self.w.letters)
-        if not g.letters:
-            return 0
-        if len(g.letters) % n:
+        cs = g.codes
+        k, r = divmod(len(cs), len(self.w))
+        if r:
             return None
-        k = len(g.letters) // n
-        if g.letters == self.w.letters * k:
+        if cs == self.w.codes * k:
             return k
-        if g.letters == self._w_inv.letters * k:
+        if cs == self._w_inv.codes * k:
             return -k
         return None
 
@@ -387,7 +385,7 @@ class FreeRelCyclicSpec:
     def subgroup_element(self, k: int) -> FreeWord:
         # w is cyclically reduced, so w^k is |k| copies of w or w^-1.
         base = self.w if k >= 0 else self._w_inv
-        return FreeWord(self.group, base.letters * abs(k))
+        return FreeWord(self.group, base.codes * abs(k))
 
     def power_letter(self, k: int) -> HLetter:
         """The subgroup letter of w^k (k != 0), built once per power."""
@@ -398,19 +396,20 @@ class FreeRelCyclicSpec:
         return letter
 
     def coset_rep(self, g: FreeWord, lam: str | None = None) -> FreeWord:
-        """Representative of g<w> minimizing (length, letters)."""
+        """Representative of g<w> minimizing (length, signed letters)."""
         if self.is_basis:
             # Strip the trailing run of w-letters.
-            code = self.w.letters[0]
-            ls = list(g.letters)
-            while ls and abs(ls[-1]) == abs(code):
-                ls.pop()
-            return FreeWord(self.group, tuple(ls))
+            wgen = self.w.codes[0] >> 1
+            cs = g.codes
+            n = len(cs)
+            while n and cs[n - 1] >> 1 == wgen:
+                n -= 1
+            return FreeWord(self.group, cs[:n])
         best = None
-        span = 2 * len(g.letters) // len(self.w.letters) + 2
+        span = 2 * len(g) // len(self.w) + 2
         for n in range(-span, span + 1):
             cand = g * self.subgroup_element(n)
-            key = (len(cand.letters), cand.letters)
+            key = (len(cand), cand.letters)
             if best is None or key < best[0]:
                 best = (key, cand)
         return best[1]
@@ -437,16 +436,16 @@ class FreeRelCyclicSpec:
         search restricts word length and subgroup powers, so a found value
         is an upper bound; missing it within caps proves nothing.
         """
-        from .geodesics import _bfs, _search_moves, _to_bytes  # local: avoids an import cycle
+        from .geodesics import _bfs, _search_moves  # local: avoids an import cycle
 
-        w_bytes, w_inv_bytes = _to_bytes(self.w), _to_bytes(self._w_inv)
+        w_bytes, w_inv_bytes = bytes(self.w.codes), bytes(self._w_inv.codes)
         wl = len(w_bytes)
 
         def in_w(v: bytes) -> bool:
             k, r = divmod(len(v), wl)
             return r == 0 and (v == w_bytes * k or v == w_inv_bytes * k)
 
-        goal = _to_bytes(target)
+        goal = bytes(target.codes)
         try:
             dist = _bfs(
                 _search_moves(self, budget.max_power),

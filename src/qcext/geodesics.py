@@ -40,11 +40,14 @@ labelled by the last block's letter.  `route_last_edge` returns that split
 from one backward scan; `_basis_route` reads its blocks with the same rule
 (`_block_start`, `_block_letter`).  The extension telescopes along it.
 
-One breadth-first search kernel, `_bfs` over byte-encoded reduced words,
-runs every coned-graph search of the relative family: the generic engine
-(with predecessors), the `distance_map` sweep (no target, bounded by word
-length only) and the relative metric's `_rel_bfs` (subgroup moves barred
-inside the subgroup).  Running out of `max_vertices` raises
+One breadth-first search kernel, `_bfs`, runs every coned-graph search of
+the relative family: the generic engine (with predecessors), the
+`distance_map` sweep (no target, bounded by word length only) and the
+relative metric's `_rel_bfs` (subgroup moves barred inside the subgroup).
+Its vertices are reduced words held as the bytes of their letter codes
+(`FreeWord.codes`), which hash and compare faster than tuples as dict keys;
+`FreeGroup.raw_mul` multiplies them, and `FreeWord(group, tuple(v))` turns a
+vertex back into a word.  Running out of `max_vertices` raises
 BudgetExhaustedError there; that is the engines' only vertex-budget rule.
 The independent `brute_force_distance_oracle` re-derives distances from
 scratch over group elements (no shared code with the engines) for testing.
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterable, Sequence
 
@@ -63,20 +66,23 @@ from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeo
 from .groups import FreeGroup, FreeProductElement, FreeWord
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class CayleyPath:
     """Edge path: origin vertex plus a tuple of letters, applied rightward.
 
-    `verts`, when given, must be the vertex tuple the letters trace from the
-    origin; engines whose geodesics share their vertices pass one tuple to
-    every path instead of letting each rebuild it.
+    `_verts`, when given, must be the vertex tuple the letters trace from
+    the origin; engines whose geodesics share their vertices pass one tuple
+    to every path instead of letting each rebuild it.  Equality and the hash
+    read (origin, letters) only: `_verts` is a cache, filled on first use,
+    and the only field that ever changes.
     """
 
-    __slots__ = ("origin", "letters", "_verts")
+    origin: object
+    letters: Sequence = ()
+    _verts: tuple | None = field(default=None, compare=False)
 
-    def __init__(self, origin, letters: Sequence = (), verts: tuple | None = None):
-        self.origin = origin
-        self.letters = tuple(letters)
-        self._verts = verts
+    def __post_init__(self):
+        self.letters = tuple(self.letters)
 
     def vertices(self) -> tuple:
         if self._verts is None:
@@ -88,16 +94,6 @@ class CayleyPath:
 
     def dump(self) -> list[str]:
         return [str(letter) for letter in self.letters]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CayleyPath)
-            and self.origin == other.origin
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.origin, self.letters))
 
     def __repr__(self):
         return f"CayleyPath({self.origin}, {self.dump()})"
@@ -176,11 +172,11 @@ def route_last_edge(spec, g):
         if not raw:
             return None
         return FreeProductElement(spec.group, raw[:-1]), _syllable_letter(spec, raw[-1])
-    ls = g.letters
-    if not spec.is_basis or not ls:
+    cs = g.codes
+    if not spec.is_basis or not cs:
         return None
-    i = _block_start(ls, len(ls), abs(spec.w.letters[0]))
-    return FreeWord(spec.group, ls[:i]), _block_letter(spec, ls, i, len(ls))
+    i = _block_start(cs, len(cs), spec.w.codes[0] >> 1)
+    return FreeWord(spec.group, cs[:i]), _block_letter(spec, cs, i, len(cs))
 
 
 def _syllable_letter(spec, syl) -> HLetter:
@@ -199,52 +195,52 @@ def _free_product_geodesics(spec, f, u) -> GeodesicSet:
     )
 
 
-def _block_start(ls, j: int, wabs: int) -> int:
-    """Start of the block of the reduced word ls that ends at j: a maximal
-    run of the basis letter (all one sign, as ls is reduced), or one other
-    letter."""
+def _block_start(cs, j: int, wgen: int) -> int:
+    """Start of the block of the reduced codes cs that ends at j: a maximal
+    run of the basis generator wgen (all one sign, as cs is reduced), or one
+    other letter."""
     i = j - 1
-    if abs(ls[i]) == wabs:
-        while i > 0 and ls[i - 1] == ls[i]:
+    if cs[i] >> 1 == wgen:
+        while i > 0 and cs[i - 1] == cs[i]:
             i -= 1
     return i
 
 
-def _block_letter(spec, ls, i: int, j: int):
-    """The edge letter of the block ls[i:j]: the ambient letter of a single
+def _block_letter(spec, cs, i: int, j: int):
+    """The edge letter of the block cs[i:j]: the ambient letter of a single
     letter (for the basis letter, it stands for the run of exponent +-1),
     else the subgroup letter of the run, w^(j - i) or w^(i - j) whatever the
     sign of w."""
     if j - i == 1:
-        return spec.ambient_letters[ls[i]]
-    return spec.power_letter(j - i if ls[i] == spec.w.letters[0] else i - j)
+        return spec.ambient_letters[cs[i]]
+    return spec.power_letter(j - i if cs[i] == spec.w.codes[0] else i - j)
 
 
 def _basis_route(spec, f, u) -> tuple[tuple, tuple]:
     """The closed-form route from f to f*u: one letter per block of u, and
     the vertex tuple that every geodesic shares."""
     group = spec.group
-    ls = u.letters
-    fl = f.letters
-    n = len(fl)
+    cs = u.codes
+    fc = f.codes
+    n = len(fc)
     # f * u[:p] cancels min(p, cut) letters, where cut letters of u cancel
     # against the tail of f; so each vertex is a slice of f plus one of u.
     cut = 0
-    while cut < len(ls) and cut < n and fl[n - 1 - cut] == -ls[cut]:
+    while cut < len(cs) and cut < n and fc[n - 1 - cut] == cs[cut] ^ 1:
         cut += 1
-    wabs = abs(spec.w.letters[0])
+    wgen = spec.w.codes[0] >> 1
     ends = []
-    j = len(ls)
+    j = len(cs)
     while j:
         ends.append(j)
-        j = _block_start(ls, j, wabs)
+        j = _block_start(cs, j, wgen)
     letters = []
     verts = [f]
     i = 0
     for j in reversed(ends):
-        letters.append(_block_letter(spec, ls, i, j))
+        letters.append(_block_letter(spec, cs, i, j))
         m = min(j, cut)
-        verts.append(FreeWord(group, fl[: n - m] + ls[m:j]))
+        verts.append(FreeWord(group, fc[: n - m] + cs[m:j]))
         i = j
     return tuple(letters), tuple(verts)
 
@@ -253,10 +249,10 @@ def _basis_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
     letters, verts = _basis_route(spec, f, u)
     # A +-1 run of the basis letter is spelled by the ambient letter or by
     # the subgroup letter w^+-1; both edges join the same two vertices.
-    wcode = spec.w.letters[0]
+    wcode = spec.w.codes[0]
     blocks = [
         (letter, spec.power_letter(1 if letter.code == wcode else -1))
-        if isinstance(letter, XLetter) and abs(letter.code) == abs(wcode)
+        if isinstance(letter, XLetter) and letter.code >> 1 == wcode >> 1
         else (letter,)
         for letter in letters
     ]
@@ -276,28 +272,7 @@ def _basis_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
     )
 
 
-# -- byte-level words for the pruned search ------------------------------------
-
-
-def _to_bytes(word: FreeWord) -> bytes:
-    return bytes(
-        2 * (c - 1) if c > 0 else 2 * (-c - 1) + 1 for c in word.letters
-    )
-
-
-def _from_bytes(group: FreeGroup, data: bytes) -> FreeWord:
-    letters = tuple(
-        (b // 2 + 1) if b % 2 == 0 else -(b // 2 + 1) for b in data
-    )
-    return FreeWord(group, letters)
-
-
-def _mul_bytes(a: bytes, b: bytes) -> bytes:
-    i, j = len(a), 0
-    while i > 0 and j < len(b) and a[i - 1] == b[j] ^ 1:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
+# -- the pruned search ----------------------------------------------------------
 
 
 def _search_moves(spec, max_power: int) -> list:
@@ -305,13 +280,13 @@ def _search_moves(spec, max_power: int) -> list:
     letter order: each ambient generator and its inverse, then w^k and w^-k
     for k = 1 .. max_power."""
     moves = [
-        (letter, _to_bytes(letter.elem), False)
+        (letter, bytes(letter.elem.codes), False)
         for letter in spec.ambient_letters.values()
     ]
     for a in range(1, max_power + 1):
         for k in (a, -a):
             letter = spec.power_letter(k)
-            moves.append((letter, _to_bytes(letter.elem), True))
+            moves.append((letter, bytes(letter.elem.codes), True))
     return moves
 
 
@@ -337,6 +312,7 @@ def _bfs(moves, cap_len: int, max_depth: float = math.inf,
     # letter; every other product is a plain concatenation.
     full = [(letter, mb, mb[0] ^ 1) for letter, mb, _ in moves]
     ambient = [m for m, (_, _, sub) in zip(full, moves) if not sub]
+    mul = FreeGroup.raw_mul
     stop = 0 if target == start else math.inf
     queue = deque([start])
     while queue:
@@ -346,7 +322,7 @@ def _bfs(moves, cap_len: int, max_depth: float = math.inf,
             break  # the queue holds depths in nondecreasing order
         last = v[-1] if v else -1
         for letter, mb, cancels in ambient if barred is not None and barred(v) else full:
-            nv = _mul_bytes(v, mb) if last == cancels else v + mb
+            nv = mul(v, mb) if last == cancels else v + mb
             if len(nv) > cap_len:
                 continue
             if nv not in dist:
@@ -366,8 +342,8 @@ def _bfs(moves, cap_len: int, max_depth: float = math.inf,
 
 
 def _generic_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
-    target = _to_bytes(u)
-    wl = len(spec.w.letters)
+    target = bytes(u.codes)
+    wl = len(spec.w)
     pcap = min(-(-(len(target) + budget.slack) // wl) + 1, budget.max_power)
     pred: dict[bytes, list] = {}
     dist = _bfs(
@@ -429,16 +405,14 @@ def _generic_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
 
 def free_ball_words(group: FreeGroup, radius: int) -> Iterable[FreeWord]:
     """All reduced words of length <= radius, shortest first, letter order."""
-    codes = []
-    for i in range(1, len(group.gens) + 1):
-        codes.extend((i, -i))
+    codes = range(2 * len(group.gens))
     layer = [()]
     yield group.identity()
     for _ in range(radius):
         nxt = []
         for tup in layer:
             for c in codes:
-                if tup and tup[-1] == -c:
+                if tup and tup[-1] == c ^ 1:
                     continue
                 new = tup + (c,)
                 nxt.append(new)
@@ -460,13 +434,13 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
     group = spec.group
     if spec.is_basis:
         out = {}
-        wabs = abs(spec.w.letters[0])
+        wgen = spec.w.codes[0] >> 1
         for v in free_ball_words(group, max_len):
             blocks = 0
-            ls = v.letters
-            j = len(ls)
+            cs = v.codes
+            j = len(cs)
             while j:
-                j = _block_start(ls, j, wabs)
+                j = _block_start(cs, j, wgen)
                 blocks += 1
             out[v] = blocks
         return out
@@ -476,7 +450,7 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
     out = {}
     for vb, dv in dist.items():
         if len(vb) <= max_len:
-            out[_from_bytes(group, vb)] = dv
+            out[FreeWord(group, tuple(vb))] = dv
     return out
 
 
@@ -516,7 +490,7 @@ def brute_force_distance_oracle(
     power_bind = False
     if spec.family == "free_product":
         free_syllables = [
-            len(w.letters)
+            len(w)
             for idx, w in u.syllables
             if isinstance(spec.group.factors[idx], FreeGroup)
         ]
@@ -546,12 +520,12 @@ def brute_force_distance_oracle(
     else:
         for i in range(1, len(spec.group.gens) + 1):
             for c in (i, -i):
-                moves.append(FreeWord(spec.group, (c,)))
+                moves.append(spec.group.word((c,)))
         for k in range(-max_power, max_power + 1):
             if k:
                 moves.append(spec.subgroup_element(k))
-        len_cap = max_s_length if max_s_length is not None else len(u.letters) + 4
-        wlen = len(spec.w.letters)
+        len_cap = max_s_length if max_s_length is not None else len(u) + 4
+        wlen = len(spec.w)
         power_bind = (max_power + 1) * wlen <= 2 * len_cap
 
     one = spec.group.identity()
@@ -569,7 +543,7 @@ def brute_force_distance_oracle(
         for v in frontier:
             for mv in moves:
                 nv = v * mv
-                if len_cap is not None and len(nv.letters) > len_cap:
+                if len_cap is not None and len(nv) > len_cap:
                     pruned = True
                     continue
                 if nv not in seen:
@@ -630,6 +604,3 @@ def penetration(spec, path: CayleyPath, lam: str, rep, geodesic: bool = True):
             return verts[i], verts[j]
     return None
 
-
-def path_has_edge_in_coset(spec, path: CayleyPath, lam: str, rep) -> bool:
-    return penetration(spec, path, lam, rep, geodesic=False) is not None

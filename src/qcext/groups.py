@@ -2,26 +2,34 @@
 
 Groups and elements are frozen slotted dataclasses: setting a field raises
 FrozenInstanceError (an AttributeError) and instances have no __dict__.
-Elements are immutable value objects tied to their group.  Free-group words
-are stored as tuples of signed ints (generator i maps to i+1, its inverse to
--(i+1)) and are always freely reduced; finite-group elements as their table
-index.  Free-product elements are stored flat, in normal form: `raw` is a
-tuple of (factor index, raw factor value) syllables with adjacent factor
-indices distinct, the raw value being the letters tuple of a free factor or
-the table index of a finite one, never the raw identity (both raw identities,
-() and 0, are falsy).  Products and inverses run on raw values through the
-factor's `raw_mul` and `raw_inv`, so an element holds only ints and tuples of
-ints and its hash and equality stay in C.  Factor elements are built only at
-the API boundary: `FreeProduct.syllable` reads a factor element's raw value,
-and the `syllables` view and `str` wrap raw values back.
+Elements are immutable value objects tied to their group.
 
-Element equality compares the payload (letters, raw syllables or table
-index) first and the group second, by identity before value.  Element
-hashes are payload-only: equal elements have equal payloads, and since no
-symbol string enters the hash, an element's hash does not depend on
-PYTHONHASHSEED.  Groups compare and hash through the dataclass, by their
-defining fields (gens; names and table; factors) and not by the lookup
-tables derived from them.
+A free-group word stores `codes`, a freely reduced tuple of letter codes:
+generator i is 2i and its inverse 2i+1, so `c ^ 1` inverts a letter and
+`c >> 1` names its generator.  The search kernel in `geodesics` runs on the
+same codes held as bytes, and `FreeGroup.raw_mul` reduces both.  The signed
+code (generator i is i+1, its inverse -(i+1)) lives only at the API
+boundary: `FreeGroup.word` reads it and `FreeWord.letters` is a read-only
+view in it.  A finite-group element is stored as its table index.
+
+Free-product elements are stored flat, in normal form: `raw` is a tuple of
+(factor index, raw factor value) syllables with adjacent factor indices
+distinct, the raw value being the codes of a free factor or the table index
+of a finite one, never the raw identity (both raw identities, () and 0, are
+falsy).  Products and inverses run on raw values through the factor's
+`raw_mul` and `raw_inv`, so an element holds only ints and tuples of ints
+and its hash and equality stay in C.  Factor elements are built only at the
+API boundary: `FreeProduct.syllable` reads a factor element's raw value, and
+the `syllables` view and `str` wrap raw values back.
+
+Element equality compares the payload (codes, raw syllables or table index)
+first and the group second, by identity before value.  Element hashes are
+payload-only: equal elements have equal payloads, and since no symbol string
+enters the hash, an element's hash does not depend on PYTHONHASHSEED.  The
+codes are nonnegative because CPython hashes -1 like -2: in signed letters,
+any two words that differ only by x^-1 against y^-1 hash alike.  Groups
+compare and hash through the dataclass, by their defining fields (gens;
+names and table; factors) and not by the lookup tables derived from them.
 
 Parsing uses one token grammar everywhere: tokens separated by whitespace or
 '*', each token either '1' (identity) or 'sym' or 'sym^k' with k a nonzero
@@ -34,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -68,7 +76,7 @@ class FreeGroup:
     """Finitely generated free group on named generators."""
 
     gens: tuple[str, ...]
-    _index: dict = field(compare=False)
+    _code: dict = field(compare=False)  # symbol -> code of the generator
 
     def __init__(self, gens: Sequence[str]):
         gens = tuple(gens)
@@ -78,7 +86,7 @@ class FreeGroup:
             if g == "1" or _TOKEN_RE.match(g) is None or "^" in g:
                 raise UnknownGeneratorError(f"bad generator symbol {g!r}")
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_index", {g: i + 1 for i, g in enumerate(gens)})
+        object.__setattr__(self, "_code", {g: 2 * i for i, g in enumerate(gens)})
 
     def __repr__(self):
         return f"FreeGroup({', '.join(self.gens)})"
@@ -89,59 +97,62 @@ class FreeGroup:
         return FreeWord(self, ())
 
     def gen(self, sym: str) -> FreeWord:
-        if sym not in self._index:
-            raise UnknownGeneratorError(f"{sym!r} not a generator of {self!r}")
-        return FreeWord(self, (self._index[sym],))
+        return FreeWord(self, self.raw_token(sym, 1))
 
     def word(self, letters: Iterable[int]) -> FreeWord:
-        """Build a word from signed letter codes, reducing freely."""
+        """Build a word from signed letters (generator i is i+1, its inverse
+        -(i+1)), reducing freely."""
         out: list[int] = []
         for c in letters:
             if not isinstance(c, int) or c == 0 or abs(c) > len(self.gens):
                 raise UnknownGeneratorError(f"bad letter code {c!r}")
-            if out and out[-1] == -c:
+            code = 2 * c - 2 if c > 0 else -2 * c - 1
+            if out and out[-1] == code ^ 1:
                 out.pop()
             else:
-                out.append(c)
+                out.append(code)
         return FreeWord(self, tuple(out))
 
     def parse(self, text: str) -> FreeWord:
-        letters: list[int] = []
+        codes: tuple = ()
         for token in _split_tokens(text):
             if token != "1":
-                letters.extend(self.raw_token(*_parse_token(token)))
-        return self.word(letters)
+                codes = self.raw_mul(codes, self.raw_token(*_parse_token(token)))
+        return FreeWord(self, codes)
 
     def generators(self) -> list[FreeWord]:
         return [self.gen(g) for g in self.gens]
 
     def random_word(self, rng, length: int) -> FreeWord:
         """A reduced word of the given length, drawn letter by letter with
-        rng, redrawing any letter that would cancel."""
-        letters: list[int] = []
-        while len(letters) < length:
-            c = rng.choice([1, -1]) * rng.randint(1, len(self.gens))
-            if letters and letters[-1] == -c:
+        rng (a sign, then a generator), redrawing any letter that would
+        cancel."""
+        codes: list[int] = []
+        while len(codes) < length:
+            c = rng.choice((0, 1)) + 2 * rng.randint(0, len(self.gens) - 1)
+            if codes and codes[-1] == c ^ 1:
                 continue
-            letters.append(c)
-        return FreeWord(self, tuple(letters))
+            codes.append(c)
+        return FreeWord(self, tuple(codes))
 
     # -- protocol used by FreeProduct ----------------------------------------
 
     @staticmethod
-    def raw_mul(a: tuple, b: tuple) -> tuple:
-        """Reduced concatenation of two reduced letter tuples."""
-        i, n = 0, min(len(a), len(b))
-        while i < n and a[-1 - i] == -b[i]:
-            i += 1
-        return a[: len(a) - i] + b[i:]
+    def raw_mul(a, b):
+        """Reduced concatenation of two reduced code sequences of one type:
+        tuples, or the search kernel's bytes."""
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1] == b[j] ^ 1:
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
 
     @staticmethod
     def raw_inv(a: tuple) -> tuple:
-        return tuple(map(neg, a[::-1]))
+        return tuple([c ^ 1 for c in reversed(a)])
 
     def unwrap(self, a: FreeWord) -> tuple:
-        return a.letters
+        return a.codes
 
     def wrap(self, raw: tuple) -> FreeWord:
         return FreeWord(self, raw)
@@ -150,14 +161,13 @@ class FreeGroup:
         return self.gens
 
     def raw_token(self, sym: str, k: int) -> tuple:
-        """The letters of sym^k (k != 0)."""
-        if sym not in self._index:
+        """The codes of sym^k (k != 0)."""
+        if sym not in self._code:
             raise UnknownGeneratorError(f"{sym!r} not a generator of {self!r}")
-        code = self._index[sym]
-        return (code if k > 0 else -code,) * abs(k)
+        return (self._code[sym] + (k < 0),) * abs(k)
 
     def letter_symbol(self, code: int) -> str:
-        return self.gens[abs(code) - 1]
+        return self.gens[code >> 1]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -165,39 +175,44 @@ class FreeWord:
     """Freely reduced word in a FreeGroup.  Immutable and hashable."""
 
     group: FreeGroup
-    letters: tuple[int, ...]  # trusted to be reduced; FreeGroup.word reduces
+    codes: tuple[int, ...]  # trusted to be reduced; FreeGroup.word reduces
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The signed letters: generator i is i+1, its inverse -(i+1)."""
+        return tuple([-(c >> 1) - 1 if c & 1 else (c >> 1) + 1 for c in self.codes])
 
     def __eq__(self, other):
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return self.letters == other.letters and (
+        return self.codes == other.codes and (
             self.group is other.group or self.group == other.group
         )
 
     def __hash__(self):
-        return hash(self.letters)
+        return hash(self.codes)
 
     def __len__(self):
-        return len(self.letters)
+        return len(self.codes)
 
     def __bool__(self):
-        return bool(self.letters)
+        return bool(self.codes)
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.codes
 
     def __mul__(self, other: FreeWord) -> FreeWord:
         if not isinstance(other, FreeWord):
             return NotImplemented
         if self.group is not other.group and self.group != other.group:
             raise MixedContextError("words from different free groups")
-        a, b = self.letters, other.letters
-        if a and b and a[-1] == -b[0]:
+        a, b = self.codes, other.codes
+        if a and b and a[-1] == b[0] ^ 1:
             return FreeWord(self.group, FreeGroup.raw_mul(a, b))
         return FreeWord(self.group, a + b)
 
     def inverse(self) -> FreeWord:
-        return FreeWord(self.group, FreeGroup.raw_inv(self.letters))
+        return FreeWord(self.group, FreeGroup.raw_inv(self.codes))
 
     def __pow__(self, n: int) -> FreeWord:
         if n == 0:
@@ -211,23 +226,13 @@ class FreeWord:
     def syllables(self) -> list[tuple[str, int]]:
         """Run-length form [(symbol, exponent), ...]."""
         out: list[tuple[str, int]] = []
-        for c in self.letters:
-            sym = self.group.letter_symbol(c)
-            step = 1 if c > 0 else -1
-            if out and out[-1][0] == sym and (out[-1][1] > 0) == (step > 0):
-                out[-1] = (sym, out[-1][1] + step)
-            else:
-                out.append((sym, step))
+        for c, run in groupby(self.codes):
+            k = sum(1 for _ in run)
+            out.append((self.group.letter_symbol(c), -k if c & 1 else k))
         return out
 
-    def exponent_sum(self, sym: str) -> int:
-        code = self.group._index.get(sym)
-        if code is None:
-            raise UnknownGeneratorError(f"{sym!r} not a generator")
-        return sum(1 if c == code else -1 if c == -code else 0 for c in self.letters)
-
     def __str__(self):
-        if not self.letters:
+        if not self.codes:
             return "1"
         parts = []
         for sym, k in self.syllables():
@@ -559,37 +564,37 @@ def enumerate_ball(identity, generators: Sequence, radius: int):
 def exponent_vector(word: FreeWord) -> dict[str, int]:
     """Abelianization of a free-group word."""
     out = {g: 0 for g in word.group.gens}
-    for c in word.letters:
-        out[word.group.letter_symbol(c)] += 1 if c > 0 else -1
+    for c in word.codes:
+        out[word.group.letter_symbol(c)] += -1 if c & 1 else 1
     return out
 
 
 def cyclic_reduce(word: FreeWord) -> tuple[FreeWord, FreeWord]:
     """Return (root, conj) with word == conj * root * conj^-1 and root
     cyclically reduced."""
-    letters = list(word.letters)
+    codes = word.codes
     pre: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    return FreeWord(word.group, tuple(letters)), FreeWord(word.group, tuple(pre))
+    while len(codes) >= 2 and codes[0] == codes[-1] ^ 1:
+        pre.append(codes[0])
+        codes = codes[1:-1]
+    return FreeWord(word.group, codes), FreeWord(word.group, tuple(pre))
 
 
 def is_cyclically_reduced(word: FreeWord) -> bool:
-    ls = word.letters
-    return len(ls) < 2 or ls[0] != -ls[-1]
+    cs = word.codes
+    return len(cs) < 2 or cs[0] != cs[-1] ^ 1
 
 
 def is_proper_power(word: FreeWord) -> bool:
     """True when the word is conjugate to u^k with k >= 2."""
     root, _ = cyclic_reduce(word)
-    n = len(root.letters)
+    n = len(root.codes)
     if n == 0:
         return False
     for d in range(1, n):
         if n % d:
             continue
-        if root.letters == root.letters[:d] * (n // d):
+        if root.codes == root.codes[:d] * (n // d):
             return True
     return False
 

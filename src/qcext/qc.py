@@ -26,7 +26,7 @@ from math import lcm
 
 from .coeffs import IndexedLp, ModuleVector, TrivialReals, real_value
 from .errors import CertificateError, DomainError, MixedContextError
-from .groups import FreeGroup, FreeWord, as_fraction, cyclic_reduce
+from .groups import FreeGroup, FreeWord, as_fraction, cyclic_reduce, exponent_vector
 
 PROVENANCES = (
     "homomorphism-zero",
@@ -339,7 +339,7 @@ def cyclic_homomorphism(spec, lam: str | None = None, slope=1, module=None) -> Q
 
         def fn(g):
             word = _fp_factor_word(spec, lam, g)
-            return real_value(slope * word.exponent_sum(factor.gens[0]), module)
+            return real_value(slope * exponent_vector(word)[factor.gens[0]], module)
 
         group = spec.group
         name = f"hom[{lam}]"
@@ -438,12 +438,12 @@ def brooks(group: FreeGroup, w: FreeWord, module=None) -> QuasiCocycle:
     if w.is_identity():
         raise DomainError("pattern must be nontrivial")
     module = module or TrivialReals()
-    wt = w.letters
-    wit = w.inverse().letters
+    wt = w.codes
+    wit = w.inverse().codes
 
     def fn(g: FreeWord):
         return real_value(
-            _greedy_count(g.letters, wt) - _greedy_count(g.letters, wit), module
+            _greedy_count(g.codes, wt) - _greedy_count(g.codes, wit), module
         )
 
     return QuasiCocycle(
@@ -500,13 +500,13 @@ def brooks_homogenized(group: FreeGroup, w: FreeWord, module=None) -> QuasiCocyc
     """
     base = brooks(group, w, module=module)
     module = base.module
-    wt, wit = w.letters, w.inverse().letters
+    wt, wit = w.codes, w.inverse().codes
 
     def fn(g: FreeWord):
         root, _ = cyclic_reduce(g)
-        if not root.letters:
+        if not root.codes:
             return real_value(0, module)
-        r = _periodic_rate(root.letters, wt) - _periodic_rate(root.letters, wit)
+        r = _periodic_rate(root.codes, wt) - _periodic_rate(root.codes, wit)
         return real_value(r, module)
 
     return QuasiCocycle(
@@ -557,15 +557,15 @@ def tree_edge_cocycle(spec_or_group, lam: str | None = None, p: int = 2) -> Quas
         word = unwrap(g)
         coeffs: dict = {}
         prefix = factor.identity()
-        for c in word.letters:
+        for c in word.codes:
             nxt = prefix * FreeWord(factor, (c,))
             sym = factor.letter_symbol(c)
-            if c > 0:
-                idxv = (embed(prefix), f"e:{sym}")
-                coeffs[idxv] = coeffs.get(idxv, Fraction(0)) + 1
-            else:
+            if c & 1:
                 idxv = (embed(nxt), f"e:{sym}")
                 coeffs[idxv] = coeffs.get(idxv, Fraction(0)) - 1
+            else:
+                idxv = (embed(prefix), f"e:{sym}")
+                coeffs[idxv] = coeffs.get(idxv, Fraction(0)) + 1
             prefix = nxt
         return ModuleVector(module, coeffs)
 

@@ -450,10 +450,9 @@ def free_dist_experiment(k_list, seed: int = 0) -> dict:
 
     def push(word: FreeWord) -> FreeWord:
         out = g_group.identity()
-        for code in word.letters:
-            sym = h_group.letter_symbol(code)
-            img = images[sym]
-            out = out * (img if code > 0 else img.inverse())
+        for code in word.codes:
+            img = images[h_group.letter_symbol(code)]
+            out = out * (img.inverse() if code & 1 else img)
         return out
 
     rng = seeded_rng(seed, "free-dist-injectivity")

@@ -40,7 +40,7 @@ from .errors import (
     NotSeparatingError,
     PartitionNotFoundError,
 )
-from .geodesics import CayleyPath, GeodesicSet, _routes, geodesic_routes, path_has_edge_in_coset
+from .geodesics import CayleyPath, GeodesicSet, _routes, geodesic_routes, penetration
 from .groups import as_fraction
 
 
@@ -332,7 +332,7 @@ def triangle_partition(
     side = geo_fh.geodesics[0] if geo_fh.geodesics else CayleyPath(f)
     pivot = -1
     for j, coset in enumerate(s_fg.cosets):
-        if path_has_edge_in_coset(spec, side, lam, coset.rep):
+        if penetration(spec, side, lam, coset.rep, geodesic=False) is not None:
             pivot = j
     # pieces: indices < pivot from the f-h side, > pivot+1 from the h-g side
     if pivot < 0:

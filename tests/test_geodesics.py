@@ -138,6 +138,16 @@ def test_vertices():
     assert verts[-1] == F2.parse("y x^2")
 
 
+def test_path_equality_ignores_vertex_cache():
+    path = geodesics(REL_X, F2.parse("y"), F2.parse("y x^2 y")).geodesics[0]
+    fresh = CayleyPath(path.origin, list(path.letters))
+    assert type(fresh.letters) is tuple and not hasattr(fresh, "__dict__")
+    assert fresh == path and hash(fresh) == hash(path)
+    assert fresh.vertices() == path.vertices()
+    assert fresh == path and hash(fresh) == hash(path)
+    assert CayleyPath(path.origin, path.letters[:1]) != path
+
+
 def test_free_product_geodesic_unique():
     spec = fp_spec()
     G = spec.group

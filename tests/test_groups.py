@@ -259,3 +259,28 @@ def test_hash_does_not_depend_on_hash_seed():
         )
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+def test_ball_words_have_distinct_hashes():
+    # Signed letter codes would collide wherever words differ only by x^-1
+    # against y^-1 (CPython hashes -1 like -2): 6,349 hashes for this ball.
+    ball = list(free_ball_words(F2, 8))
+    assert len(ball) == 13121
+    assert len({hash(w) for w in ball}) == 13121
+
+
+def test_free_product_ball_has_distinct_hashes():
+    P = FreeProduct([F2, FreeGroup(["t"])])
+    gens = [P.parse(s) for s in ("x", "x^-1", "y", "y^-1", "t", "t^-1")]
+    ball = enumerate_ball(P.identity(), gens, 5)
+    assert len(ball) == 4687
+    assert len({hash(g) for g in ball}) == 4687
+
+
+def test_signed_letters_round_trip():
+    ball = list(free_ball_words(F2, 4))
+    assert len(ball) == 161
+    for w in ball:
+        assert all(isinstance(c, int) and 0 < abs(c) <= 2 for c in w.letters)
+        assert F2.word(w.letters) == w
+    assert F2.parse("x y^-1 x^-2").letters == (1, -2, -1, -1)
