@@ -17,10 +17,9 @@ from fractions import Fraction
 
 from . import __version__
 from .coeffs import ModuleVector, TrivialReals
-from .embedding import SearchBudget, calibrate_c, seeded_rng, spec_from_json
+from .embedding import SearchBudget, calibrate_c, config_rational, seeded_rng, spec_from_json
 from .errors import BudgetExhaustedError, ConfigError, QcextError
 from .extension import asnec_demo, extend, extend_general, restriction_check
-from .groups import as_fraction
 from .qc import (
     QuasiCocycle,
     antisymmetrize,
@@ -89,13 +88,15 @@ def _budget(config: dict) -> SearchBudget | None:
     return SearchBudget.from_json(config["budget"])
 
 
-def _c_value(config: dict):
-    if "c" not in config:
-        return None
-    try:
-        return as_fraction(config["c"])
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad polygon constant: {config['c']!r}") from e
+def _int(data: dict, key: str, default: int) -> int:
+    """data[key], or default, as an integer: an int or a decimal string."""
+    raw = data.get(key, default)
+    if not isinstance(raw, bool) and isinstance(raw, (int, str)):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} must be an integer, not {raw!r}")
 
 
 def _spec(config: dict):
@@ -116,7 +117,7 @@ def build_input(spec, item: dict) -> tuple[str, QuasiCocycle]:
         raise ConfigError(f"unknown subgroup label {lam!r}")
 
     if kind == "cyclic-homomorphism":
-        slope = as_fraction(item.get("slope", 1))
+        slope = config_rational(item, "slope", 1)
         if spec.family == "free_product":
             q = cyclic_homomorphism(spec, lam=lam, slope=slope)
         else:
@@ -135,7 +136,7 @@ def build_input(spec, item: dict) -> tuple[str, QuasiCocycle]:
     elif kind == "tree-edge":
         if spec.family != "free_product":
             raise ConfigError("tree-edge inputs target a free factor")
-        q = tree_edge_cocycle(spec, lam, p=int(item.get("p", 2)))
+        q = tree_edge_cocycle(spec, lam, p=_int(item, "p", 2))
     else:
         raise ConfigError(f"unknown input kind {kind!r}")
 
@@ -164,13 +165,12 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
     spec = _spec(config)
     inputs = build_inputs(spec, config)
     budget = _budget(config)
+    c = config_rational(config, "c")
     mode = config.get("mode", "strict")
     if mode == "strict":
-        result = extend(spec, inputs, c_value=_c_value(config), budget=budget,
-                        seed=seed)
+        result = extend(spec, inputs, c_value=c, budget=budget, seed=seed)
     elif mode == "symmetrize":
-        result = extend_general(spec, inputs, c_value=_c_value(config),
-                                budget=budget)
+        result = extend_general(spec, inputs, c_value=c, budget=budget)
     else:
         raise ConfigError(f"unknown extend mode {mode!r}")
 
@@ -178,13 +178,9 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
     for text in config.get("evaluate", []):
         g = spec.parse(str(text))
         values.append({"g": str(g), "iota": vector_json(result.iota(g))})
-    restrictions = []
-    for lam in sorted(inputs):
-        restrictions.append(
-            restriction_check(result, lam, samples=int(config.get(
-                "restriction_samples", 20)), seed=seed)
-        )
-    result.sync_notes()
+    samples = _int(config, "restriction_samples", 20)
+    restrictions = [restriction_check(result, lam, samples=samples, seed=seed)
+                    for lam in sorted(inputs)]
     payload = result.to_json()
     payload["certificate_tagged"] = tag(result.certificate.value,
                                         "certified-upper-bound")
@@ -196,7 +192,7 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
 def cmd_separating(config: dict, seed: int) -> tuple[dict, int]:
     spec = _spec(config)
     budget = _budget(config)
-    c = _c_value(config)
+    c = config_rational(config, "c")
     lams = config.get("lambdas")
     pairs = _require(config, "pairs")
     if not isinstance(pairs, list):
@@ -219,16 +215,15 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
     spec = _spec(config)
     inputs = build_inputs(spec, config)
     budget = _budget(config)
-    result = extend(spec, inputs, c_value=_c_value(config), budget=budget, seed=seed)
+    result = extend(spec, inputs, c_value=config_rational(config, "c"), budget=budget, seed=seed)
 
-    radius = int(config.get("radius", 2))
-    samples = int(config.get("samples", 120))
+    radius = _int(config, "radius", 2)
+    samples = _int(config, "samples", 120)
     elements = ball_domain(spec, radius)
     rng = seeded_rng(seed, "cli:defect")
     for _ in range(samples):
         elements.append(spec.random_element(rng, 4))
     est = defect(result.iota, elements)
-    result.sync_notes()
     ok = est.leq_exact(result.certificate.value)
     payload = {
         "certificate": tag(result.certificate.value, "certified-upper-bound"),
@@ -250,10 +245,10 @@ def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
     spec = _spec(config)
     report = calibrate_c(
         spec,
-        samples=int(config.get("samples", 200)),
+        samples=_int(config, "samples", 200),
         ngon_sizes=tuple(config.get("ngon_sizes", (3, 4, 5, 6))),
         seed=seed,
-        element_size=int(config.get("element_size", 6)),
+        element_size=_int(config, "element_size", 6),
         budget=_budget(config),
     )
     payload = report.to_json()
@@ -267,8 +262,8 @@ def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
 
 def cmd_asnec(config: dict, seed: int) -> tuple[dict, int]:
     payload = asnec_demo(
-        n=int(config.get("n", 1)),
-        k_max=int(config.get("k_max", 6)),
+        n=_int(config, "n", 1),
+        k_max=_int(config, "k_max", 6),
         seed=seed,
     )
     ok = payload["violation_grows"] and payload["symmetrized"]["defect_within_certificate"]
@@ -295,14 +290,12 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     y_gens = None
     if "y_gens" in config:
         y_gens = [factor.parse(str(t)) for t in config["y_gens"]]
-    reference = None
-    if "reference_scl_h" in config:
-        reference = as_fraction(config["reference_scl_h"])
+    reference = config_rational(config, "reference_scl_h")
 
     report = undistortion_pipeline(
         spec, lam, h, phi,
         y_gens=y_gens,
-        c_value=_c_value(config),
+        c_value=config_rational(config, "c"),
         budget=_budget(config),
         scl_h_reference=reference,
         seed=seed,
@@ -310,7 +303,7 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     bound = report["bound"]
     upper_cfg = config.get("upper")
     if upper_cfg is not None:
-        n = int(upper_cfg.get("n", 1))
+        n = _int(upper_cfg, "n", 1)
         comms = [
             (spec.parse(str(u)), spec.parse(str(v)))
             for u, v in _require(upper_cfg, "commutators")
@@ -359,11 +352,11 @@ def cmd_verify(config: dict, seed: int) -> tuple[dict, int]:
     payload = run_full_suite(
         spec,
         cocycles=inputs,
-        c_value=_c_value(config),
+        c_value=config_rational(config, "c"),
         budget=_budget(config),
         seed=seed,
-        samples=int(config.get("samples", 500)),
-        radius=int(config.get("radius", 3)),
+        samples=_int(config, "samples", 500),
+        radius=_int(config, "radius", 3),
     )
     return payload, EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 

@@ -500,19 +500,29 @@ class FreeRelCyclicSpec:
 EmbeddingSpec = FreeProductPairSpec | FreeRelCyclicSpec
 
 
+def config_rational(data: dict, key: str, default=None) -> Fraction | None:
+    """data[key], or default, as an exact rational (None if neither is set):
+    an int or a string like "4/3" or "0.25", never a float or a bool."""
+    raw = data.get(key, default)
+    if raw is None:
+        return None
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ConfigError(f'bad {key} {raw!r}: give an integer or a string like "4/3"')
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad {key} {raw!r}: {e}") from None
+
+
 def spec_from_json(data: dict):
     """Build an embedding spec from its JSON form (CLI configs)."""
     if not isinstance(data, dict):
         raise ConfigError("embedding must be an object")
     family = data.get("family")
     budget = SearchBudget.from_json(data["budget"]) if "budget" in data else None
-    c_raw = data.get("C")
-    try:
-        c_val = None if c_raw is None else Fraction(str(c_raw))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad C value {c_raw!r}: {e}") from None
+    c_val = config_rational(data, "C")
     if family == "free_product":
-        if c_raw is not None:
+        if c_val is not None:
             raise ConfigError(
                 'free_product takes no "C" (its polygon constant is 0); '
                 'set the run-level "c" key instead'
@@ -653,9 +663,6 @@ def calibrate_c(
             verts.append(verts[-1] * letter.elem)
         m = len(letters)  # loop: verts[m] == verts[0]
 
-        def coset_of(idx: int):
-            return spec.coset_rep(verts[idx], lam)
-
         # Cyclic maximal runs of subgroup letters staying in one coset.
         is_h = [isinstance(letter, HLetter) for letter in letters]
         if all(is_h):
@@ -677,18 +684,18 @@ def calibrate_c(
                 a, b = runs.pop(), runs.pop(0)
                 runs.insert(0, (a[0], b[1] + m))
         for start, end in runs:
-            rep = coset_of(start % m)
             a_minus = verts[start % m]
             a_plus = verts[(end + 1) % m]
-            member_edges = set(range(start, end + 1))
+            rep = spec.coset_rep(a_minus, lam)
+            members = {idx % m for idx in range(start, end + 1)}
             isolated = True
             for e in range(m):
-                if e % m in {idx % m for idx in member_edges}:
+                if e in members:
                     continue
-                u, v = verts[e], verts[e + 1]
-                du = u.inverse() * v
-                if spec.in_subgroup(du) and not du.is_identity():
-                    if spec.coset_rep(u, lam) == rep:
+                # letters[e] steps verts[e] to verts[e + 1]; it is a
+                # nontrivial subgroup element exactly when it carries a label.
+                if letters[e].lam is not None:
+                    if spec.coset_rep(verts[e], lam) == rep:
                         isolated = False
                         break
             if not isolated:

@@ -27,13 +27,15 @@ essential, none is excluded or uncertain, and
 with the new coset's one pair (p, g) and step h; the trivial clause
 (g in H_lam, so p = 1) gives the same coset and pair.  Summing the averaged
 values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
-and iota(g) = iota(p) otherwise.  The evaluator walks down the prefixes to
-the deepest one already in iota's memo and evaluates upward through iota,
-so the memo and the module checks apply to every prefix.  A generic w
-separates (1, g) afresh, and so does a basis w with 3C >= 1: there the
-trivial clause separates x at width 1 while the block x of y x is
-excluded, so S_lam(1, .) is not prefix-closed.  The choice depends only on
-the family and on C.
+and iota(g) = iota(p) otherwise.  The evaluator walks down the route once
+to the deepest prefix in iota's memo (or to 1), then sums upward once and
+writes each prefix's value into the memo without re-entering iota.  The
+writes skip iota's module check at no cost: every term is a value of an
+input q, each input checks its own module, and all inputs share one.  A
+generic w separates (1, g) afresh, and so does a basis w with 3C >= 1:
+there the trivial clause separates x at width 1 while the block x of y x
+is excluded, so S_lam(1, .) is not prefix-closed.  The choice depends
+only on the family and on C.
 
 Inputs must be antisymmetric (declared and spot-checked).  `asnec_demo`
 runs the raw pipeline on a deliberately one-sided input to exhibit the
@@ -130,7 +132,8 @@ def combed_value(q: QuasiCocycle, sep) -> ModuleVector:
 
 @dataclass
 class ExtensionResult:
-    """The extension with its certificate and conditionality trail."""
+    """The extension with its certificate and conditionality trail; the
+    trail's views read it live, as evaluations of iota extend it."""
 
     spec: object
     inputs: dict
@@ -138,21 +141,23 @@ class ExtensionResult:
     iota: QuasiCocycle
     certificate: CertifiedBound
     per_lambda: dict
-    conditional: bool
-    conditional_reasons: list = field(default_factory=list)
-    band_log: list = field(default_factory=list)
-    _box: dict = field(default_factory=dict, repr=False)
+    _reasons: list = field(default_factory=list, repr=False)
+    _bands: list = field(default_factory=list, repr=False)
 
     def __call__(self, g) -> ModuleVector:
         return self.iota(g)
 
-    def sync_notes(self) -> None:
-        """Fold evaluation-time notes (non-exhaustive enumerations, band
-        exclusions) into the result's conditionality report."""
-        self.conditional_reasons = list(dict.fromkeys(
-            [*self.conditional_reasons, *self._box.get("reasons", ())]))
-        self.band_log = list(self._box.get("bands", []))
-        self.conditional = bool(self.conditional_reasons)
+    @property
+    def conditional(self) -> bool:
+        return bool(self._reasons)
+
+    @property
+    def conditional_reasons(self) -> list:
+        return list(dict.fromkeys(self._reasons))
+
+    @property
+    def band_log(self) -> list:
+        return list(self._bands)
 
     def to_json(self) -> dict:
         return {
@@ -173,58 +178,56 @@ class ExtensionResult:
         }
 
 
-def _combed_evaluator(spec, cocycles: dict, c_value, budget, result_box: dict):
-    """Shared evaluator for iota: sum over subgroups of the combed bicombing
-    at (1, g), with conditionality notes accumulated into result_box.
+def _combed_evaluator(spec, cocycles: dict, c_value, budget):
+    """Shared evaluator for iota: evaluate(result, g) sums the combed
+    bicombing at (1, g) over subgroups, for g not in result.iota's memo.
 
-    Returns evaluate(iota, g) for g not yet in iota's memo.  On free
-    products, and on a basis w with 3C < 1, it telescopes along the route
-    (the lemma in the module docstring); otherwise it separates (1, g)."""
+    On free products, and on a basis w with 3C < 1, it telescopes along the
+    route (the module docstring): one walk down, then one sum up that
+    memoizes every prefix, so no word recurses.  Otherwise it separates
+    (1, g) and writes the report's notes straight into `result`."""
     module = next(iter(cocycles.values())).module
     identity = spec.identity()
+    origin = zero(module)
     lams = tuple(sorted(cocycles))
     telescopes = spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)
 
-    def separated(g) -> ModuleVector:
+    def separated(result: ExtensionResult, g) -> ModuleVector:
         report = separation_report(spec, identity, g, c_value=c_value, budget=budget,
                                    lams=lams)
-        total = zero(module)
+        total = origin
         for lam in lams:
             sep = report[lam]
             if not sep.exhaustive:
-                result_box.setdefault("reasons", []).append(
-                    f"geodesic enumeration for {g} not exhaustive"
-                )
+                result._reasons.append(f"geodesic enumeration for {g} not exhaustive")
             if sep.conditional:
-                result_box.setdefault("reasons", []).append(
-                    f"essentiality for {g} used upper-bound distances"
-                )
-            result_box.setdefault("bands", []).extend(sep.band_excluded)
+                result._reasons.append(f"essentiality for {g} used upper-bound distances")
+            result._bands.extend(sep.band_excluded)
             total = total + combed_value(cocycles[lam], sep)
         return total
 
-    def telescoped(iota: QuasiCocycle, g) -> ModuleVector:
-        p, letter = route_last_edge(spec, g)
-        # Walk down to the deepest prefix iota already knows, then evaluate
-        # the prefixes upward through iota: each of those calls finds its
-        # own prefix in the memo and returns after one step, so a word of
-        # any length evaluates without deep recursion.
-        below = []
-        v = p
-        while not (v.is_identity() or v in iota._memo):
-            below.append(v)
-            v = route_last_edge(spec, v)[0]
-        for v in reversed(below):
-            iota(v)
+    def step(total: ModuleVector, p, letter) -> ModuleVector:
         q = cocycles.get(letter.lam)
-        if q is None:
-            return iota(p)
-        return iota(p) + q(letter.elem).act(p)
+        return total if q is None else total + q(letter.elem).act(p)
 
-    def evaluate(iota: QuasiCocycle, g) -> ModuleVector:
+    def telescoped(memo: dict, g) -> ModuleVector:
+        p, letter = route_last_edge(spec, g)
+        below = []  # (v, u, e): the route's edge e from u into v, for v under g
+        v = p
+        while not (v.is_identity() or v in memo):
+            u, e = route_last_edge(spec, v)
+            below.append((v, u, e))
+            v = u
+        total = memo.get(v, origin)
+        for v, u, e in reversed(below):
+            total = step(total, u, e)
+            memo[v] = total
+        return step(total, p, letter)
+
+    def evaluate(result: ExtensionResult, g) -> ModuleVector:
         if g == identity:
-            return zero(module)
-        return telescoped(iota, g) if telescopes else separated(g)
+            return origin
+        return telescoped(result.iota._memo, g) if telescopes else separated(result, g)
 
     return evaluate, module
 
@@ -259,14 +262,13 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         }
         total_cert += 54 * kval + 66 * q.certified_defect.value
 
-    box: dict = {}
-    evaluate, module = _combed_evaluator(spec, cocycles, c, budget, box)
+    evaluate, module = _combed_evaluator(spec, cocycles, c, budget)
     all_exact = all(q.exact_cocycle for q in cocycles.values())
     iota = QuasiCocycle(
         name,
         spec.group,
         module,
-        lambda g: evaluate(iota, g),
+        lambda g: evaluate(result, g),
         antisymmetric=all(q.antisymmetric for q in cocycles.values()),
         homogeneous=False,
         # On free products the combing follows the syllable normal form, so
@@ -278,17 +280,16 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
             "sum over subgroups of 54*K + 66*D",
         ),
     )
-    return ExtensionResult(
+    result = ExtensionResult(
         spec=spec,
         inputs=dict(cocycles),
         c_value=c,
         iota=iota,
         certificate=iota.certified_defect,
         per_lambda=per_lambda,
-        conditional=bool(reasons),
-        conditional_reasons=reasons,
-        _box=box,
+        _reasons=reasons,
     )
+    return result
 
 
 def check_antisymmetry(spec, lam: str, q: QuasiCocycle, seed: int = 0,
@@ -379,7 +380,6 @@ def asnec_demo(n: int = 1, k_max: int = 6, seed: int = 0) -> dict:
             {"k": k, "value_plus": str(plus), "value_minus": str(minus),
              "antisymmetry_violation": str(violation)}
         )
-    raw.sync_notes()
 
     # Symmetrized rerun: alpha(step)(x^m) = sign(m)/2, defect 1/2.
     fixed = extend(spec, {lam: half_sign(spec)}, seed=seed)

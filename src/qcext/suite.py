@@ -397,7 +397,6 @@ def run_full_suite(
             gap.norm_leq_exact(cert),
             lambda: f"defect at ({g1},{g2}) exceeds the certificate {cert}",
         )
-    ext.sync_notes()
 
     return _finish(spec, results, c)
 

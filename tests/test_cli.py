@@ -197,6 +197,25 @@ def test_config_errors_exit_2(tmp_path):
     assert code == 2 and report is None
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("extend", "c", "1/0"),
+        ("extend", "slope", "1/0"),
+        ("defect", "radius", "two"),
+        ("extend", "c", 0.5),
+        ("extend", "c", True),
+    ],
+)
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, key, value):
+    item = {"kind": "cyclic-homomorphism"}
+    config = {"spec": REL_SPEC, "inputs": [item]}
+    (item if key == "slope" else config)[key] = value
+    code, report = run_cli(tmp_path, command, config)
+    assert code == 2 and report is None
+    assert "config error" in capsys.readouterr().err
+
+
 def test_failed_gate_exits_1(tmp_path):
     config = {"spec": REL_SPEC, "inputs": [{"kind": "step"}], "mode": "strict"}
     code, report = run_cli(tmp_path, "extend", config)

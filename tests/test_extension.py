@@ -256,7 +256,6 @@ def test_averaged_value_of_one_pair_is_its_bicombing():
 def test_long_basis_word_evaluates_unconditionally():
     res = extend(REL_X, {"C": half_sign(REL_X)})
     assert res.iota(F2.parse("x y") ** 15).scalar() == Fraction(15, 2)
-    res.sync_notes()
     assert not res.conditional
     assert res.conditional_reasons == []
 
@@ -382,7 +381,6 @@ def test_fresh_iota_matches_report_reference():
             want, logged = _reference(spec, inputs, c, g)
             bands.extend(logged)
             assert res.iota(g) == want, (name, str(g))
-        res.sync_notes()
         assert res.band_log == bands, name
         assert not res.conditional, name
         assert bool(bands) == (c >= Fraction(1, 3)), name
@@ -450,3 +448,41 @@ def test_foreign_elements_raise_mixed_context():
     foreign = FreeProduct([FreeGroup(["a"]), FreeGroup(["c"])])
     with pytest.raises(MixedContextError):
         res.iota(foreign.parse("a c"))
+
+
+def test_fresh_word_walks_its_route_once(monkeypatch):
+    calls = []
+
+    def counted(spec, g):
+        calls.append(g)
+        return route_last_edge(spec, g)
+
+    monkeypatch.setattr(extension_module, "route_last_edge", counted)
+    res = extend(REL_X, {"C": half_sign(REL_X)})
+    g = F2.parse("x y") ** 50  # 100 blocks
+    assert res.iota(g).scalar() == 25
+    assert len(calls) == 100
+    # every prefix is memoized, so a one-block extension reads one block
+    calls.clear()
+    res.iota(g * F2.parse("x"))
+    assert len(calls) == 1
+
+
+def test_evaluation_notes_are_live():
+    rel_xy = FreeRelCyclicSpec(
+        F2, F2.parse("x y"), budget=SearchBudget(max_vertices=20_000, max_power=6)
+    )
+    res = extend(rel_xy, {"C": cyclic_homomorphism(rel_xy)}, c_value=Fraction(4, 3))
+    res.iota(F2.parse("x y x"))
+    assert "geodesic enumeration for x y x not exhaustive" in res.conditional_reasons
+    assert len(res.band_log) == 1
+    assert res.conditional
+
+
+def test_long_tree_edge_word_matches_report_reference():
+    A, B = FreeGroup(["x", "y"]), FreeGroup(["t"])
+    fp = FreeProductPairSpec(FreeProduct([A, B]), ["A", "B"])
+    inputs = {"A": tree_edge_cocycle(fp, "A")}
+    g = fp.parse("x t") ** 100  # 200 syllables
+    res = extend(fp, inputs)
+    assert res.iota(g) == _reference(fp, inputs, Fraction(0), g)[0]
