@@ -243,10 +243,15 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
 
 def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
     spec = _spec(config)
+    sizes = config.get("ngon_sizes", [3, 4, 5, 6])
+    if not isinstance(sizes, list) or not sizes or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes
+    ):
+        raise ConfigError("ngon_sizes must be a non-empty list of positive integers")
     report = calibrate_c(
         spec,
         samples=_int(config, "samples", 200),
-        ngon_sizes=tuple(config.get("ngon_sizes", (3, 4, 5, 6))),
+        ngon_sizes=tuple(sizes),
         seed=seed,
         element_size=_int(config, "element_size", 6),
         budget=_budget(config),
@@ -287,9 +292,23 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
         raise ConfigError("a homomorphism vanishes on [H,H]; nothing to transport")
     else:
         raise ConfigError(f"unsupported phi kind {kind!r}")
-    y_gens = None
-    if "y_gens" in config:
-        y_gens = [factor.parse(str(t)) for t in config["y_gens"]]
+    y_gens = config.get("y_gens")
+    if y_gens is not None:
+        if not isinstance(y_gens, list):
+            raise ConfigError("y_gens must be a list of words")
+        y_gens = [factor.parse(str(t)) for t in y_gens]
+    upper_cfg = config.get("upper")
+    if upper_cfg is not None:
+        if not isinstance(upper_cfg, dict):
+            raise ConfigError("upper must be an object")
+        n = _int(upper_cfg, "n", 1)
+        if n < 1:
+            raise ConfigError("upper n must be a positive integer")
+        pairs = _require(upper_cfg, "commutators")
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs
+        ):
+            raise ConfigError("commutators must be a list of [u, v] pairs")
     reference = config_rational(config, "reference_scl_h")
 
     report = undistortion_pipeline(
@@ -301,13 +320,8 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
         seed=seed,
     )
     bound = report["bound"]
-    upper_cfg = config.get("upper")
     if upper_cfg is not None:
-        n = _int(upper_cfg, "n", 1)
-        comms = [
-            (spec.parse(str(u)), spec.parse(str(v)))
-            for u, v in _require(upper_cfg, "commutators")
-        ]
+        comms = [(spec.parse(str(u)), spec.parse(str(v))) for u, v in pairs]
         target = spec.group.syllable(spec.names.index(lam), h)
         count = cl_upper(spec.group, target**n, comms)
         report["upper"] = {

@@ -25,11 +25,15 @@ generic-engine paths already have pairwise distinct vertex tuples (an
 ambient letter and a subgroup letter share an element only when |w| = 1),
 so there the routes are the geodesics.
 
-`distance` lists no path where a closed form exists: on free products it is
-the syllable count of f^-1 g, and elsewhere the length of the route, so a
-basis w builds one path rather than every spelling.  The engines work on
-u = f^-1 g, which `separation_report` computes once and hands to the route
-dispatch.
+`distance` lists no path where a closed form exists.  On free products it
+reads the normal forms alone: past their common syllable prefix, f^-1 g
+is the rest of f inverted, then the rest of g, the two facing syllables
+merged into one (a^-1 b != 1) when they lie in one factor.  Elsewhere it
+is the length of the route, so a basis w builds one path rather than
+every spelling; `distance_map` counts the blocks of a ball's words, one
+block opened per letter unless it extends a run of the basis letter.
+The engines work on u = f^-1 g, which `separation_report` computes once
+and hands to the route dispatch.
 
 The closed-form routes are prefix-closed.  The route from 1 to g spells g
 block by block: on free products a block is a syllable, on a basis w a
@@ -148,10 +152,20 @@ def _routes(spec, f, u, budget: SearchBudget | None) -> GeodesicSet:
 
 
 def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
-    """d(f, g) in the coned graph: the syllable count of f^-1 g on free
-    products, else the length of a route (no spelling is listed)."""
+    """d(f, g) in the coned graph: on free products the syllable count of
+    f^-1 g, read off the normal forms (MixedContextError for two groups),
+    else the length of a route (no spelling is listed)."""
     if spec.family == "free_product":
-        return len(f.inverse() * g)
+        if f.group is not g.group and f.group != g.group:
+            raise MixedContextError("elements from different groups")
+        a, b = f.raw, g.raw
+        n = min(len(a), len(b))
+        k = 0
+        while k < n and a[k] == b[k]:
+            k += 1
+        d = len(a) + len(b) - 2 * k
+        # Distinct syllables of one factor meet in a single syllable a^-1 b.
+        return d - 1 if k < n and a[k][0] == b[k][0] else d
     return geodesic_routes(spec, f, g, budget=budget).distance
 
 
@@ -405,19 +419,32 @@ def _generic_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
 
 def free_ball_words(group: FreeGroup, radius: int) -> Iterable[FreeWord]:
     """All reduced words of length <= radius, shortest first, letter order."""
+    return iter(_block_counts(group, radius, -1))
+
+
+def _block_counts(group: FreeGroup, radius: int, wgen: int) -> dict:
+    """{word: block count} over the ball, in `free_ball_words` order.  A
+    letter opens a block unless it repeats the last letter and that is the
+    basis generator wgen (`_block_start`'s rule, read forward); wgen = -1
+    counts letters.  Each layer's counts lie parallel to its code tuples."""
     codes = range(2 * len(group.gens))
-    layer = [()]
-    yield group.identity()
+    out = {group.identity(): 0}
+    layer, counts = [()], [0]
     for _ in range(radius):
-        nxt = []
-        for tup in layer:
+        nxt, ncounts = [], []
+        for tup, n in zip(layer, counts):
+            last = tup[-1] if tup else -1
+            run = last if last >> 1 == wgen else -1
             for c in codes:
-                if tup and tup[-1] == c ^ 1:
+                if c == last ^ 1:
                     continue
                 new = tup + (c,)
+                m = n if c == run else n + 1
                 nxt.append(new)
-                yield FreeWord(group, new)
-        layer = nxt
+                ncounts.append(m)
+                out[FreeWord(group, new)] = m
+        layer, counts = nxt, ncounts
+    return out
 
 
 def distance_map(spec, max_len: int, sweep_len: int | None = None,
@@ -425,25 +452,17 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
     """Coned-graph distances from the identity to every reduced word of
     length <= max_len, as {FreeWord: int}.
 
-    For the generic family this is one pruned breadth-first sweep over words
-    of length <= sweep_len (default max_len + 2); reported values are upper
-    bounds wherever a true geodesic would have to leave that ball.
+    For a basis w the distance is the block count, carried from each word's
+    parent (`_block_counts`), in `free_ball_words` order.  For the generic
+    family this is one pruned breadth-first sweep over words of length <=
+    sweep_len (default max_len + 2); reported values are upper bounds
+    wherever a true geodesic would have to leave that ball.
     """
     if spec.family != "free_rel_cyclic":
         raise DomainError("bulk distance maps target the free_rel_cyclic family")
     group = spec.group
     if spec.is_basis:
-        out = {}
-        wgen = spec.w.codes[0] >> 1
-        for v in free_ball_words(group, max_len):
-            blocks = 0
-            cs = v.codes
-            j = len(cs)
-            while j:
-                j = _block_start(cs, j, wgen)
-                blocks += 1
-            out[v] = blocks
-        return out
+        return _block_counts(group, max_len, spec.w.codes[0] >> 1)
     sweep_len = sweep_len if sweep_len is not None else max_len + 2
     max_power = max_power if max_power is not None else spec.budget.max_power
     dist = _bfs(_search_moves(spec, max_power), sweep_len)

@@ -216,6 +216,32 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+CALIBRATE_CONFIG = {"spec": {"family": "free_rel_cyclic", "gens": ["x", "y"], "w": "x y"},
+                    "samples": 4, "element_size": 3}
+SCL_CONFIG = {"spec": BIG_FP_SPEC, "lambda": "A", "h": "x^-1 y^-1 x y",
+              "phi": {"kind": "brooks-homogenized", "w": "x y"}}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("calibrate-c", "ngon_sizes", ["3"]),
+        ("calibrate-c", "ngon_sizes", 3),
+        ("calibrate-c", "ngon_sizes", []),
+        ("calibrate-c", "ngon_sizes", [True]),
+        ("scl-bound", "upper", 3),
+        ("scl-bound", "y_gens", 3),
+        ("scl-bound", "upper", {"commutators": [["x"]]}),
+        ("scl-bound", "upper", {"n": 0, "commutators": []}),
+    ],
+)
+def test_malformed_shapes_exit_2(tmp_path, capsys, command, key, value):
+    base = CALIBRATE_CONFIG if command == "calibrate-c" else SCL_CONFIG
+    code, report = run_cli(tmp_path, command, {**base, key: value})
+    assert code == 2 and report is None
+    assert "config error" in capsys.readouterr().err
+
+
 def test_failed_gate_exits_1(tmp_path):
     config = {"spec": REL_SPEC, "inputs": [{"kind": "step"}], "mode": "strict"}
     code, report = run_cli(tmp_path, "extend", config)

@@ -17,8 +17,9 @@ from qcext import (
     penetration,
 )
 from qcext.embedding import HLetter
-from qcext.errors import NotGeodesicError
+from qcext.errors import MixedContextError, NotGeodesicError
 from qcext.geodesics import CayleyPath, distance_map
+from qcext.groups import cyclic_group
 from qcext.suite import ball_domain
 
 
@@ -197,6 +198,27 @@ def test_distance_matches_geodesics_and_oracle():
                 assert d == brute_force_distance_oracle(spec, f, g)[0], (spec, str(f), str(g))
 
 
+def test_free_product_distance_reads_normal_forms():
+    # Finite factors put two distinct syllables of one factor at the first
+    # difference (s t against s t2), a syllable prefix (s against s t) and
+    # f = g among the pairs.
+    fp = FreeProductPairSpec(
+        FreeProduct([cyclic_group(2, "s"), cyclic_group(3, "t")]), ["A", "B"]
+    )
+    ball = ball_domain(fp, 5)
+    for f in ball:
+        for g in ball:
+            assert distance(fp, f, g) == len(f.inverse() * g), (str(f), str(g))
+
+
+def test_free_product_distance_rejects_foreign_element():
+    fp = fp_spec()
+    with pytest.raises(MixedContextError):
+        distance(fp, fp.identity(), F2.parse("x"))
+    with pytest.raises(MixedContextError):
+        distance(fp, F2.parse("x"), fp.identity())
+
+
 def test_oracle_flags_binding_power_cap():
     # with powers capped at 1 the oracle can only spell x^5 letter by
     # letter; it must admit the result is an upper bound
@@ -225,6 +247,26 @@ def test_distance_map_agrees_with_engine_basis():
     dm = distance_map(REL_X, 4)
     for w, d in dm.items():
         assert distance(REL_X, F2.identity(), w) == d
+
+
+@pytest.mark.parametrize("w", ["x", "x^-1", "y"])
+def test_distance_map_basis_counts_blocks(w):
+    spec = FreeRelCyclicSpec(F2, F2.parse(w))
+    gen = abs(spec.w.letters[0])
+    dm = distance_map(spec, 6)
+    assert list(dm) == list(free_ball_words(F2, 6))
+    assert list(dm) == sorted(dm, key=lambda v: (len(v), v.codes))
+    for word, d in dm.items():
+        # Count blocks backward: a maximal run of the basis generator, or
+        # one other letter.
+        ls = word.letters
+        blocks, j = 0, len(ls)
+        while j:
+            j -= 1
+            while abs(ls[j]) == gen and j and ls[j - 1] == ls[j]:
+                j -= 1
+            blocks += 1
+        assert d == blocks, str(word)
 
 
 def test_distance_map_generic_small():
