@@ -9,7 +9,8 @@ bound, never an empirical sup.
 The undistortion pipeline transports a Bavard bound on an embedded subgroup
 to the ambient group: adjust phi to vanish on the abelianization-independent
 generators (defect unchanged), extend with certificate 54K + 66D, homogenize
-(at most doubling the defect), and divide.
+(at most doubling the defect), and divide.  K and the certificate are read
+off the `ExtensionResult`; M = certificate / D and D(psi) = 2 * certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .embedding import seeded_rng
 from .errors import CertificateError, DomainError, InvariantError
-from .extension import extend, k_constant
+from .extension import extend
 from .groups import (
     FreeGroup,
     FreeWord,
@@ -143,9 +144,6 @@ class NiceGeneratingSet:
 
     y1: tuple
     y2: tuple
-
-    def to_json(self) -> dict:
-        return {"Y1": [str(w) for w in self.y1], "Y2": [str(w) for w in self.y2]}
 
 
 def _exp_vector(group: FreeGroup, w: FreeWord) -> list[int]:
@@ -353,11 +351,14 @@ def undistortion_pipeline(
     notes.append(f"L: {l_note}")
 
     amb = embed_on_factor(spec, lam, phi_adj)
-    k_value, k_cond = k_constant(spec, lam, amb, c, budget=budget)
+    extension = extend(spec, {lam: amb}, c_value=c, budget=budget, seed=seed)
+    k_value = extension.per_lambda[lam]["K"]
+    k_cond = extension.per_lambda[lam]["K_conditional"]
     if k_cond:
         notes.append("K computed from an incomplete ball: result conditional")
 
     d_cert = phi_adj.certified_defect
+    ext_cert = extension.certificate
     phi_h = phi.scalar_value(h)
     adj_h = phi_adj.scalar_value(h)
     if adj_h != phi_h:
@@ -370,27 +371,21 @@ def undistortion_pipeline(
                   "provenance": "exact" if not k_cond else "certified-upper-bound"})
     chain.append({"step": "L with d_Y <= L*d-hat", "value": str(l_value),
                   "provenance": "exact"})
-
-    extension = extend(spec, {lam: amb}, c_value=c, budget=budget, seed=seed)
-    ext_cert = extension.certificate
     chain.append({"step": "D(iota(phi')) <= 54K + 66D", "value": str(ext_cert.value),
                   "provenance": "certified-upper-bound",
                   "detail": ext_cert.to_json()})
 
+    # One label, so the certificate is 54K + 66D and M = certificate / D.
+    psi_cert = 2 * ext_cert.value
+    lower = Fraction(0) if psi_cert == 0 else phi_h / (2 * psi_cert)
     if d_cert.value > 0:
-        m_value = Fraction(54) * k_value / d_cert.value + 66
-        if 54 * k_value + 66 * d_cert.value > m_value * d_cert.value:
-            raise InvariantError("M must satisfy 54K + 66D <= M*D")
-        psi_cert = 2 * m_value * d_cert.value
+        m_value = ext_cert.value / d_cert.value
         chain.append({"step": "M with 54K + 66D <= M*D", "value": str(m_value),
                       "provenance": "exact"})
-        lower = phi_h / (4 * m_value * d_cert.value)
         denom_note = "phi(h) / (4*M*D)"
     else:
         m_value = None
-        psi_cert = 2 * (54 * k_value)
         notes.append("D(phi') = 0: chain bypasses M and uses D(psi) <= 2*54K")
-        lower = Fraction(0) if psi_cert == 0 else phi_h / (2 * psi_cert)
         denom_note = "phi(h) / (2 * (2*54K))" if psi_cert else "trivial: all constants vanish"
     chain.append({"step": "D(psi) <= 2*D(iota(phi'))", "value": str(psi_cert),
                   "provenance": "certified-upper-bound"})
@@ -420,7 +415,7 @@ def undistortion_pipeline(
         ),
         "chain": chain,
         "restriction_consistent": consistency,
-        "conditional": k_cond or extension.conditional,
+        "conditional": extension.conditional,
     }
     if scl_h_reference is not None and m_value is not None:
         result["scl_h_transport"] = {

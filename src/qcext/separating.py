@@ -297,16 +297,6 @@ class TrianglePartition:
     from_fh: tuple
     from_hg: tuple
     pivot: int
-    verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "front": [c.to_json() for c in self.front],
-            "from_fh": [c.to_json() for c in self.from_fh],
-            "from_hg": [c.to_json() for c in self.from_hg],
-            "pivot": self.pivot,
-            "verified": self.verified,
-        }
 
 
 def triangle_partition(
@@ -325,9 +315,7 @@ def triangle_partition(
     s_fg = report(f, g)[lam]
     n = len(s_fg)
     if n <= 2:
-        return TrianglePartition(
-            front=s_fg.cosets, from_fh=(), from_hg=(), pivot=-1, verified=True
-        )
+        return TrianglePartition(front=s_fg.cosets, from_fh=(), from_hg=(), pivot=-1)
     geo_fh = geodesic_routes(spec, f, h, budget=budget)
     side = geo_fh.geodesics[0] if geo_fh.geodesics else CayleyPath(f)
     pivot = -1
@@ -372,5 +360,4 @@ def triangle_partition(
         from_fh=tuple(s_fg.cosets[j] for j in fh_idx),
         from_hg=tuple(s_fg.cosets[j] for j in hg_idx),
         pivot=pivot,
-        verified=True,
     )

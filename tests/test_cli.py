@@ -180,6 +180,57 @@ def test_verify_command(tmp_path):
     assert res["total_violations"] == 0
 
 
+def _value(res, i=0):
+    return res["values"][i]["iota"]
+
+
+Z2_TIMES_T = {
+    "family": "free_product",
+    "factors": [{"kind": "table", "names": ["1", "s"], "table": [[0, 1], [1, 0]]},
+                {"kind": "free", "gens": ["t"]}],
+    "names": ["A", "B"],
+}
+STEP = {"kind": "step", "antisymmetrize": True}
+
+
+@pytest.mark.parametrize("command, config, pins", [
+    ("extend",
+     {"spec": BIG_FP_SPEC, "inputs": [{"kind": "tree-edge", "lambda": "A"}],
+      "evaluate": ["x y t x"]},
+     lambda r: r["certificate"]["value"] == "0"
+     and _value(r)["norm_pth_power"] == "3" and len(_value(r)["entries"]) == 3),
+    ("extend",
+     {"spec": BIG_FP_SPEC, "inputs": [{"kind": "brooks", "lambda": "A", "w": "x y"},
+                                      {"kind": "cyclic-homomorphism", "lambda": "B"}]},
+     lambda r: r["certificate"]["value"] == "198"),
+    ("defect",
+     {"spec": BIG_FP_SPEC, "inputs": [{"kind": "brooks-homogenized", "lambda": "A",
+                                       "w": "x y"}],
+      "radius": 1, "samples": 5},
+     lambda r: r["certificate"]["value"] == "396" and r["within_certificate"]),
+    ("extend",
+     {"spec": REL_SPEC, "inputs": [{"kind": "step"}], "mode": "symmetrize",
+      "evaluate": ["y x^2"]},
+     lambda r: _value(r) == {"value": "1/2", "provenance": "exact"}),
+    ("extend",
+     {"spec": Z2_TIMES_T, "inputs": [{"kind": "cyclic-homomorphism", "lambda": "B"}],
+      "evaluate": ["s t s t^2"]},
+     lambda r: _value(r) == {"value": "3", "provenance": "exact"}),
+    ("extend",
+     {"spec": REL_SPEC, "c": "1", "inputs": [STEP], "evaluate": ["y x y"]},
+     lambda r: r["certificate"]["value"] == "93"
+     and r["per_lambda"]["C"]["K"] == "1/2"
+     and r["band_exclusions"] == [{"coset": {"lambda": "C", "rep": "y"}, "entrance": "y",
+                                   "exit": "y x", "width": "1"}]),
+], ids=["tree-edge", "brooks", "brooks-homogenized", "symmetrize", "table", "band"])
+def test_less_common_inputs_are_pinned_and_rerun_stable(tmp_path, command, config, pins):
+    code, first = run_cli(tmp_path, command, config, name="one")
+    _, second = run_cli(tmp_path, command, config, name="two")
+    assert code == 0
+    assert first["results"] == second["results"]
+    assert pins(first["results"])
+
+
 def test_config_errors_exit_2(tmp_path):
     code, report = run_cli(tmp_path, "extend", {"spec": FP_SPEC})
     assert code == 2 and report is None

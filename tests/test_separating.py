@@ -131,7 +131,6 @@ def test_triangle_partition_free_product():
     for lam in ("A", "B"):
         s_fg = separation_report(spec, f, g)[lam]
         part = triangle_partition(spec, f, g, h, lam, reports(spec))
-        assert part.verified
         assert len(part.front) <= 2
         combined = list(part.from_fh) + list(part.front) + list(part.from_hg)
         assert sorted(map(str, combined)) == sorted(map(str, s_fg.cosets))
@@ -142,7 +141,6 @@ def test_triangle_partition_short_list_is_front():
     G = spec.group
     f, g, h = G.identity(), G.parse("a b"), G.parse("b")
     part = triangle_partition(spec, f, g, h, "A", reports(spec))
-    assert part.verified
     assert part.from_fh == () and part.from_hg == ()
     assert part.pivot == -1
 

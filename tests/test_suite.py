@@ -3,10 +3,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from qcext import separating, suite
 from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec, spec_from_json
-from qcext.groups import FreeGroup, FreeProduct
-from qcext.qc import cyclic_homomorphism
+from qcext.groups import FreeGroup, FreeProduct, commutator
+from qcext.qc import brooks_homogenized, cyclic_homomorphism
+from qcext.scl import undistortion_pipeline
 from qcext.suite import ALL_CHECKS, EXTENSION_CHECKS, SEP_CHECKS, CheckResult, run_full_suite
 
 
@@ -73,6 +76,47 @@ def test_cyclic_free_product_suite_has_no_violations():
     out = run_full_suite(spec, samples=50, radius=2)
     assert out["total_violations"] == 0
     assert out["all_passed"]
+
+
+def _suite_on_rel_x():
+    spec = rel_spec()
+    return spec, lambda: run_full_suite(spec, {"C": cyclic_homomorphism(spec, "C")},
+                                        samples=10, radius=1, chain_max=2)
+
+
+def _suite_on_fp():
+    spec = fp_spec()
+    cocycles = {lam: cyclic_homomorphism(spec, lam) for lam in spec.lambdas()}
+    return spec, lambda: run_full_suite(spec, cocycles, samples=10, radius=1, chain_max=2)
+
+
+def _pipeline_on_fp():
+    F2, T = FreeGroup(["x", "y"]), FreeGroup(["t"])
+    spec = FreeProductPairSpec(FreeProduct([F2, T]), ["A", "B"])
+    x, y = F2.gen("x"), F2.gen("y")
+    phi = brooks_homogenized(F2, F2.parse("x y"))
+    return spec, lambda: undistortion_pipeline(spec, "A", commutator(x, y), phi)
+
+
+@pytest.mark.parametrize("make, balls", [
+    (_suite_on_rel_x, 1),  # the extension's K
+    (_suite_on_fp, 2),  # the extension's K, one per label
+    (_pipeline_on_fp, 2),  # L, then the extension's K
+])
+def test_strict_ball_is_computed_once_per_constant(make, balls):
+    # K comes from the ExtensionResult alone; wrap the instance's rel_ball
+    # so the count does not depend on how the modules import it.
+    spec, run = make()
+    calls = []
+    inner = spec.rel_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    spec.rel_ball = counted
+    run()
+    assert len(calls) == balls
 
 
 def test_suite_enumerates_each_pair_once(monkeypatch):
