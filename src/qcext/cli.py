@@ -46,6 +46,7 @@ def tag(value, provenance: str) -> dict:
     if provenance not in (
         "exact",
         "empirical-lower-bound",
+        "certified-lower-bound",
         "certified-upper-bound",
         "external-reference",
     ):
@@ -228,12 +229,7 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
     payload = {
         "certificate": tag(result.certificate.value, "certified-upper-bound"),
         "certificate_detail": result.certificate.to_json(),
-        "empirical_defect": {
-            "pth_power": tag(est.exact_pth_power_max, "empirical-lower-bound"),
-            "p": est.p,
-            "witness": [str(w) for w in est.witness] if est.witness else None,
-            "pairs_checked": est.pairs_checked,
-        },
+        "empirical_defect": est.to_json(),
         "within_certificate": ok,
         "conditional": result.conditional,
         "conditional_reasons": sorted(set(map(str, result.conditional_reasons))),
@@ -331,7 +327,7 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     payload = {
         "g": report["g"],
         "lower": {
-            "value": tag(bound.lower, "certified-upper-bound"),
+            "value": tag(bound.lower, "certified-lower-bound"),
             "witness": bound.lower_witness,
         },
         "constants": report["constants"].to_json(),

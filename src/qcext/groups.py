@@ -16,9 +16,10 @@ Free-product elements are stored flat, in normal form: `raw` is a tuple of
 (factor index, raw factor value) syllables with adjacent factor indices
 distinct, the raw value being the codes of a free factor or the table index
 of a finite one, never the raw identity (both raw identities, () and 0, are
-falsy).  Products and inverses run on raw values through the factor's
-`raw_mul` and `raw_inv`, so an element holds only ints and tuples of ints
-and its hash and equality stay in C.  Factor elements are built only at the
+falsy).  `FreeProduct.raw_mul` and `raw_inv` multiply and invert normal
+forms through the factors' `raw_mul` and `raw_inv`, and element `*` and
+`inverse` call them, so an element holds only ints and tuples of ints and
+its hash and equality stay in C.  Factor elements are built only at the
 API boundary: `FreeProduct.syllable` reads a factor element's raw value, and
 the `syllables` view and `str` wrap raw values back.
 
@@ -406,7 +407,9 @@ class FreeProduct:
 
     Factors may be FreeGroup or FiniteTableGroup instances (anything with the
     raw_mul/raw_inv/wrap/unwrap/symbols/raw_token protocol, whose raw
-    identity is falsy).
+    identity is falsy).  The product speaks raw_mul/raw_inv/wrap/unwrap
+    too, on normal forms (syllable tuples), so code that runs on raw
+    values, such as `qc.defect`, covers every group here.
     Symbols must not collide across factors, so parsing and printing are
     unambiguous; a collision raises DomainError.
     """
@@ -451,6 +454,35 @@ class FreeProduct:
             out = out * FreeProductElement(self, ((i, raw),) if raw else ())
         return out
 
+    # -- raw protocol: normal forms as syllable tuples -------------------------
+
+    def raw_mul(self, left: tuple, right: tuple) -> tuple:
+        """Normal form of the product of two normal forms."""
+        if not left or not right or left[-1][0] != right[0][0]:
+            return left + right
+        # Merge facing syllables of one factor, dropping raw identities and
+        # re-checking the new boundary.
+        factors = self.factors
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            fi = right[j][0]
+            c = factors[fi].raw_mul(left[i - 1][1], right[j][1])
+            i -= 1
+            j += 1
+            if c:
+                return left[:i] + ((fi, c),) + right[j:]
+        return left[:i] + right[j:]
+
+    def raw_inv(self, a: tuple) -> tuple:
+        factors = self.factors
+        return tuple([(i, factors[i].raw_inv(x)) for i, x in a[::-1]])
+
+    def unwrap(self, a: FreeProductElement) -> tuple:
+        return a.raw
+
+    def wrap(self, raw: tuple) -> FreeProductElement:
+        return FreeProductElement(self, raw)
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class FreeProductElement:
@@ -484,28 +516,13 @@ class FreeProductElement:
     def __mul__(self, other: FreeProductElement) -> FreeProductElement:
         if not isinstance(other, FreeProductElement):
             return NotImplemented
-        if self.group is not other.group and self.group != other.group:
+        group = self.group
+        if group is not other.group and group != other.group:
             raise MixedContextError("elements from different free products")
-        left, right = self.raw, other.raw
-        if not left or not right or left[-1][0] != right[0][0]:
-            return FreeProductElement(self.group, left + right)
-        # Merge facing syllables of one factor, dropping raw identities and
-        # re-checking the new boundary.
-        factors = self.group.factors
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            fi = right[j][0]
-            c = factors[fi].raw_mul(left[i - 1][1], right[j][1])
-            i -= 1
-            j += 1
-            if c:
-                return FreeProductElement(self.group, left[:i] + ((fi, c),) + right[j:])
-        return FreeProductElement(self.group, left[:i] + right[j:])
+        return FreeProductElement(group, group.raw_mul(self.raw, other.raw))
 
     def inverse(self) -> FreeProductElement:
-        factors = self.group.factors
-        inv = tuple((i, factors[i].raw_inv(a)) for i, a in self.raw[::-1])
-        return FreeProductElement(self.group, inv)
+        return FreeProductElement(self.group, self.group.raw_inv(self.raw))
 
     def __pow__(self, n: int) -> FreeProductElement:
         out = self.group.identity()

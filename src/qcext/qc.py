@@ -4,9 +4,11 @@ A quasi-cocycle assigns to each group element a vector in an isometric
 module; its defect is sup ||q(fg) - q(f) - f.q(g)||.  Empirical defect
 scans (DefectEstimate) keep the exact p-th power of the largest violation
 and a witness pair; certificates (CertifiedBound) are exact rationals with
-a provenance tag and never come from empirical sups.  A scan over scalar
-(TrivialReals) values is exact integer arithmetic over one common
-denominator; over IndexedLp it sums exact vectors pair by pair.
+a provenance tag and never come from empirical sups.  A scan multiplies
+normal forms through the group's raw protocol and reads known values from
+q's memo by normal form; over scalar (TrivialReals) values it is exact
+integer arithmetic over one common denominator, and over IndexedLp it sums
+exact vectors pair by pair.
 
 Constructors provided here with their certificates:
 
@@ -82,9 +84,11 @@ class DefectEstimate:
         return self.exact_pth_power_max <= b**self.p
 
     def to_json(self) -> dict:
+        """The report form: the exact p-th power, tagged as an empirical
+        lower bound on the defect's p-th power; no float."""
         return {
-            "value": self.value,
-            "exact_pth_power_max": str(self.exact_pth_power_max),
+            "pth_power": {"value": str(self.exact_pth_power_max),
+                          "provenance": "empirical-lower-bound"},
             "p": self.p,
             "witness": [str(x) for x in self.witness] if self.witness else None,
             "pairs_checked": self.pairs_checked,
@@ -209,42 +213,75 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     """Scan ||q(fg) - q(f) - f.q(g)|| over elements x elements and keep the
     exact maximum p-th power with its first witness in row-major order.
 
-    The first pass evaluates q once per element and once per product f*g,
-    through q and its memo; the second reads the three values of each pair
-    by index.  Over TrivialReals (p = 1) the second pass is integer
-    arithmetic: every value is scaled to an integer over the common
-    denominator of all of them, and the maximum is divided back at the end.
+    The scan runs on normal forms: every element must lie in one group
+    (MixedContextError otherwise), is unwrapped once, and each pair's
+    product is that group's `raw_mul` of the two raw values, so no product
+    element is built or hashed.  Products are looked up in a table from
+    normal form to value, seeded with the values q already holds: the keys
+    of q's memo that lie in the same group, by identity or equality, so
+    equal codes from another group never stand in for each other.  A
+    product missing from it is wrapped once and evaluated through q (and so
+    memoized), in row-major order.
+
+    Over TrivialReals (p = 1) the pass is integer arithmetic: the table
+    holds each distinct value once, scaled to an integer over the common
+    denominator of the seeded values, and the maximum is divided back at
+    the end.  A value first evaluated during the scan whose denominator is
+    new stays a Fraction, so the pass stays exact.  Over IndexedLp each
+    pair sums exact vectors.
     """
     elements = list(elements)
     n = len(elements)
-    vals = [q(e) for e in elements]
-    prods = [q(f * g) for f in elements for g in elements]
-    witness: tuple = ()
-    if isinstance(q.module, TrivialReals):
-        scalars = [v.scalar() for v in vals + prods]
-        denom = lcm(*{x.denominator for x in scalars})
-        ints = [x.numerator * (denom // x.denominator) for x in scalars]
-        a, c = ints[:n], ints[n:]  # denom * q(e_i), denom * q(e_i e_j) at i*n + j
-        top = 0
-        for i, ai in enumerate(a):
-            row = [abs(ai + aj - ck) for aj, ck in zip(a, c[i * n:(i + 1) * n])]
-            m = max(row)
-            if m > top:
-                top = m
-                witness = (elements[i], elements[row.index(m)])
-        best = Fraction(top, denom)
-    else:
-        best = Fraction(0)
-        k = 0
-        for f, vf in zip(elements, vals):
-            for g, vg in zip(elements, vals):
-                w = (vg.act(f) - prods[k] + vf).norm_pth_power()
-                k += 1
+    group = elements[0].group if elements else q.group
+    for e in elements:
+        if e.group is not group and e.group != group:
+            raise MixedContextError("defect scan over elements of different groups")
+    for e in elements:
+        q(e)
+    scalar = isinstance(q.module, TrivialReals)
+    unwrap, raw_mul = group.unwrap, group.raw_mul
+    # normal form -> value: over TrivialReals, denom * value, an int
+    table = {unwrap(g): v.scalar() if scalar else v
+             for g, v in q._memo.items() if g.group is group or g.group == group}
+    denom = 1
+    if scalar:
+        denom = lcm(*{x.denominator for x in table.values()})
+        for r, x in table.items():
+            table[r] = x.numerator * (denom // x.denominator)
+
+    def evaluate(ab):
+        v = q(group.wrap(ab))
+        if not scalar:
+            return v
+        x = v.scalar() * denom  # a new denominator leaves a Fraction: still exact
+        return x.numerator if x.denominator == 1 else x
+
+    raws = [unwrap(e) for e in elements]
+    vals = [table[r] for r in raws]
+    get = table.get
+    best, witness = 0, ()
+    for f, a, vf in zip(elements, raws, vals):
+        row = [get(raw_mul(a, b)) for b in raws]  # the values at f e_j
+        if None in row:
+            for j, b in enumerate(raws):
+                if row[j] is None:
+                    ab = raw_mul(a, b)
+                    v = get(ab)
+                    if v is None:
+                        v = table[ab] = evaluate(ab)
+                    row[j] = v
+        if scalar:
+            gaps = [abs(vf + vg - c) for vg, c in zip(vals, row)]
+            m = max(gaps)
+            if m > best:
+                best, witness = m, (f, elements[gaps.index(m)])
+        else:
+            for g, vg, c in zip(elements, vals, row):
+                w = (vg.act(f) - c + vf).norm_pth_power()
                 if w > best:
-                    best = w
-                    witness = (f, g)
+                    best, witness = w, (f, g)
     return DefectEstimate(
-        exact_pth_power_max=best,
+        exact_pth_power_max=Fraction(best, denom),
         p=q.module.p,
         witness=witness,
         pairs_checked=n * n,

@@ -394,7 +394,7 @@ def undistortion_pipeline(
     chain.append({"step": "psi(h) = phi'(h)", "value": str(adj_h),
                   "provenance": "exact"})
     chain.append({"step": "scl lower bound", "value": str(lower),
-                  "provenance": "certified-upper-bound", "detail": denom_note})
+                  "provenance": "certified-lower-bound", "detail": denom_note})
 
     h_embedded = spec.group.syllable(idx, h)
     consistency = (extension.iota(h_embedded).scalar() == adj_h)
@@ -481,7 +481,7 @@ def free_dist_experiment(k_list, seed: int = 0) -> dict:
                 "scl_G_upper": {"value": str(upper), "provenance": "exact",
                                 "witness": f"[[x,y]^{k}, t]"},
                 "scl_H_lower": {"value": str(lower_h.lower),
-                                "provenance": "certified-upper-bound",
+                                "provenance": "certified-lower-bound",
                                 "witness": lower_h.lower_witness},
                 "scl_H_reference": {"value": str(Fraction(2 * k + 1, 2)),
                                     "provenance": "external-reference"},

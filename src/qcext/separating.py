@@ -322,7 +322,8 @@ def triangle_partition(
     for j, coset in enumerate(s_fg.cosets):
         if penetration(spec, side, lam, coset.rep, geodesic=False) is not None:
             pivot = j
-    # pieces: indices < pivot from the f-h side, > pivot+1 from the h-g side
+    # pieces: indices < pivot from the f-h side, > pivot+1 from the h-g side;
+    # the front is [0] or [pivot, pivot + 1], so at most two cosets
     if pivot < 0:
         front_idx = [0]
         fh_idx: list[int] = []
@@ -353,8 +354,6 @@ def triangle_partition(
 
     check(fh_idx, s_fh, s_hg)
     check(hg_idx, s_hg, s_fh)
-    if len(front_idx) > 2:
-        raise PartitionNotFoundError("front piece exceeds two cosets")
     return TrianglePartition(
         front=tuple(s_fg.cosets[j] for j in front_idx),
         from_fh=tuple(s_fg.cosets[j] for j in fh_idx),

@@ -472,9 +472,10 @@ def test_a10_scl_chain():
     bound = pipe["bound"]
     ok = ok and bound.lower == Fraction(1, 1584) and bound.lower > 0
     ok = ok and pipe["restriction_consistent"] and not pipe["conditional"]
-    tags = {c["provenance"] for c in pipe["chain"]}
     ok = ok and all("step" in c and "value" in c for c in pipe["chain"])
-    ok = ok and tags <= {"exact", "certified-upper-bound"}
+    tags = {c["step"]: c["provenance"] for c in pipe["chain"]}
+    ok = ok and tags.pop("scl lower bound", None) == "certified-lower-bound"
+    ok = ok and set(tags.values()) <= {"exact", "certified-upper-bound"}
     verdict(
         "A10 scl chain",
         ok,

@@ -27,7 +27,35 @@ def run_cli(tmp_path, command, config, seed=0, name="cfg"):
     code = main([command, "--config", str(cfg), "--seed", str(seed),
                  "--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
+    assert _upper_tags_on_lower_bounds(report) == []
+    if report is not None:
+        assert _floats({k: v for k, v in report.items() if k != "timings"}) == []
     return code, report
+
+
+def _floats(node, path=()) -> list:
+    """Paths of a report that hold a float: every number is exact."""
+    if isinstance(node, float):
+        return ["/".join(map(str, path))]
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return [p for k, v in items for p in _floats(v, path + (k,))]
+
+
+def _upper_tags_on_lower_bounds(node, path=()) -> list:
+    """Paths of a report where a lower bound (a key or chain step naming
+    "lower") carries the upper-bound tag."""
+    found = []
+    if isinstance(node, dict):
+        lower = any("lower" in str(k) for k in path) or "lower" in str(node.get("step", ""))
+        if lower and node.get("provenance") == "certified-upper-bound":
+            found.append("/".join(map(str, path)))
+        for k, v in node.items():
+            found += _upper_tags_on_lower_bounds(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            found += _upper_tags_on_lower_bounds(v, path + (i,))
+    return found
 
 
 def test_extend_command(tmp_path):
@@ -120,6 +148,13 @@ def test_asnec_command(tmp_path):
     assert len(res["rows"]) == 4
     assert res["violation_grows"]
     assert res["symmetrized"]["defect_within_certificate"]
+    # reported the way `defect` reports it: exact and tagged
+    assert res["symmetrized"]["empirical_defect"] == {
+        "pth_power": {"value": "1/2", "provenance": "empirical-lower-bound"},
+        "p": 1,
+        "witness": ["x y x", "x y x"],
+        "pairs_checked": 41 * 41,
+    }
 
 
 def test_scl_bound_command(tmp_path):
@@ -135,8 +170,11 @@ def test_scl_bound_command(tmp_path):
     assert code == 0
     res = report["results"]
     assert res["lower"]["value"] == {
-        "value": "1/1584", "provenance": "certified-upper-bound"
+        "value": "1/1584", "provenance": "certified-lower-bound"
     }
+    assert {"step": "scl lower bound", "value": "1/1584",
+            "provenance": "certified-lower-bound",
+            "detail": "phi(h) / (4*M*D)"} in res["chain"]
     assert res["constants"]["M"] == "66"
     assert res["upper"]["cl"] == {"value": "1", "provenance": "exact"}
     assert res["upper"]["scl_upper"]["value"] == "1"
@@ -163,6 +201,7 @@ def test_distortion_command(tmp_path):
     res = report["results"]
     assert res["distortion_witnessed"]
     assert res["rows"][0]["scl_H_lower"]["value"] == "1/12"
+    assert res["rows"][0]["scl_H_lower"]["provenance"] == "certified-lower-bound"
     assert res["rows"][1]["ratio_lower_over_upper"]["value"] == "1/6"
 
 

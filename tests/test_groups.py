@@ -179,6 +179,34 @@ def test_flat_free_product_payload():
             )
 
 
+def _reduce_syllables(factors, syllables):
+    """Normal form by a stack over factor elements, independent of raw_mul."""
+    stack: list = []
+    for i, h in syllables:
+        if stack and stack[-1][0] == i:
+            h = stack.pop()[1] * h
+        if not h.is_identity():
+            stack.append((i, h))
+    return tuple((i, factors[i].unwrap(h)) for i, h in stack)
+
+
+def test_free_product_raw_protocol_matches_elements():
+    z2 = FiniteTableGroup(["1", "s"], [[0, 1], [1, 0]])
+    G = FreeProduct([z2, FreeGroup(["t"])])
+    s, t = G.parse("s"), G.parse("t")
+    ball = enumerate_ball(G.identity(), [s, t, t.inverse()], 4)
+    assert len(ball) == 46
+    for f in ball:
+        a = G.unwrap(f)
+        assert G.wrap(a) == f and G.wrap(a).raw is a
+        assert G.wrap(G.raw_inv(a)) == f.inverse()
+        assert G.raw_mul(a, G.raw_inv(a)) == ()
+        for g in ball:
+            ab = G.raw_mul(a, G.unwrap(g))
+            assert ab == (f * g).raw
+            assert ab == _reduce_syllables(G.factors, f.syllables + g.syllables)
+
+
 def test_free_product_parse_rejects_foreign_symbols():
     A, B = FreeGroup(["a"]), FreeGroup(["b"])
     G = FreeProduct([A, B])

@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 from qcext import (
     CertifiedBound,
     DefectEstimate,
+    FiniteTableGroup,
     FreeGroup,
     FreeProduct,
     FreeProductPairSpec,
     FreeRelCyclicSpec,
     QuasiCocycle,
+    TrivialReals,
     antisymmetrize,
     brooks,
     brooks_homogenized,
@@ -24,11 +26,13 @@ from qcext import (
     embed_on_factor,
     extend,
     free_ball_words,
+    real_value,
     step_quasimorphism,
     tree_edge_cocycle,
 )
 from qcext.errors import CertificateError, DomainError, MixedContextError
 from qcext.qc import half_sign
+from qcext.suite import ball_domain
 
 F2 = FreeGroup(["x", "y"])
 REL_X = FreeRelCyclicSpec(F2, F2.parse("x"))
@@ -327,3 +331,132 @@ def test_defect_kernel_on_an_empty_list():
         assert est.exact_pth_power_max == 0
         assert est.witness == ()
         assert est.pairs_checked == 0
+
+
+# -- the normal-form scan, cold and warm ----------------------------------------
+
+
+def _fp_brooks():
+    fp = FreeProductPairSpec(FreeProduct([F2, FreeGroup(["t"])]), ["A", "B"])
+    inputs = {"A": embed_on_factor(fp, "A", brooks(F2, F2.parse("x y"))),
+              "B": cyclic_homomorphism(fp, "B")}
+    return fp, extend(fp, inputs)
+
+
+def _z2_times_t():
+    z2 = FiniteTableGroup(["1", "s"], [[0, 1], [1, 0]])
+    spec = FreeProductPairSpec(FreeProduct([z2, FreeGroup(["t"])]), ["A", "B"])
+    return spec, extend(spec, {"B": cyclic_homomorphism(spec, "B")})
+
+
+def _relx_half_sign():
+    return REL_X, extend(REL_X, {"C": half_sign(REL_X)})
+
+
+def _fp_tree_edges():
+    fp = FreeProductPairSpec(FreeProduct([F2, FreeGroup(["t"])]), ["A", "B"])
+    return fp, extend(fp, {"A": tree_edge_cocycle(fp, "A")})
+
+
+@pytest.mark.parametrize("build, radius, top", [
+    (_fp_brooks, 2, 1),
+    (_relx_half_sign, 2, Fraction(1, 2)),
+    (_z2_times_t, 3, 0),
+    (_fp_tree_edges, 2, 0),
+], ids=["fp-brooks", "relx-half-sign", "z2-times-t", "tree-edges"])
+def test_normal_form_scan_matches_reference_cold_and_warm(build, radius, top):
+    spec, ext = build()
+    ball = ball_domain(spec, radius)
+    cold = defect(ext.iota, ball)  # fresh extension: every product is a miss
+    best, witness, count = _reference_scan(ext.iota, ball)  # evaluates every product
+    warm = defect(ext.iota, ball)
+    for est in (cold, warm):
+        assert est.exact_pth_power_max == best == top
+        assert est.witness == witness
+        assert est.pairs_checked == count == len(ball) ** 2
+        assert est.p == ext.iota.module.p
+
+
+def test_normal_form_scan_on_a_bumped_l2_extension():
+    # the l^2 branch with a nonzero maximum: one bump at t
+    spec, ext = _fp_tree_edges()
+    t = spec.parse("t")
+    bump = delta(ext.iota.module, (spec.identity(), "e:x"), 3)
+    bumped = QuasiCocycle("bumped", spec.group, ext.iota.module,
+                          lambda g: ext.iota(g) + bump if g == t else ext.iota(g))
+    ball = ball_domain(spec, 2)
+    cold = defect(bumped, ball)
+    warm = _assert_matches_reference(bumped, ball)
+    assert (cold.exact_pth_power_max, cold.witness) == (warm.exact_pth_power_max, warm.witness)
+    # (t, t) sees the bump twice, disjointly: 3^2 + 3^2
+    assert warm.exact_pth_power_max == 18 and warm.witness == (t, t)
+
+
+def test_cold_scan_meets_a_new_denominator():
+    # the elements' values are integers, their length-2 products' are 1/2,
+    # so the common denominator read from the memo does not cover them
+    q = QuasiCocycle("quarter-length", F2, TrivialReals(),
+                     lambda g: real_value(Fraction(len(g), 4) if len(g) > 1 else 0,
+                                          TrivialReals()))
+    ball = list(free_ball_words(F2, 1))
+    cold = defect(q, ball)
+    warm = _assert_matches_reference(q, ball)
+    assert cold == warm
+    assert warm.exact_pth_power_max == Fraction(1, 2)
+    assert type(warm.exact_pth_power_max) is Fraction
+
+
+def test_defect_rejects_elements_of_two_groups():
+    q = step_quasimorphism(REL_X)
+    fab = FreeGroup(["a", "b"])
+    with pytest.raises(MixedContextError):
+        defect(q, [F2.parse("x"), fab.parse("a")])
+    fp, ext = _fp_brooks()
+    with pytest.raises(MixedContextError):
+        defect(ext.iota, [fp.parse("t"), F2.parse("x")])
+
+
+def test_defect_ignores_memo_entries_of_another_group():
+    # codes of a, b in F(a,b) equal those of x, y in F(x,y); the F(a,b)
+    # values are deliberately different and already in the memo
+    fab = FreeGroup(["a", "b"])
+    counting = brooks(F2, F2.parse("x y"))
+
+    def fn(g):
+        if g.group == fab:
+            return real_value(100, counting.module)
+        return counting(g)
+
+    q = QuasiCocycle("two-faced", F2, counting.module, fn)
+    for w in free_ball_words(fab, 4):
+        q(w)
+    ball = list(free_ball_words(F2, 2))
+    est = _assert_matches_reference(q, ball)
+    assert est.exact_pth_power_max == 1
+    assert q.scalar_value(fab.parse("a b")) == 100  # the foreign entry is still there
+
+
+def _count_calls(q) -> list:
+    """Wrap q's function; the returned list grows by one per call."""
+    calls, fn = [], q._fn
+
+    def counted(g):
+        calls.append(g)
+        return fn(g)
+
+    q._fn = counted
+    return calls
+
+
+def test_warm_scan_calls_the_function_zero_times():
+    spec, ext = _fp_brooks()
+    ball = ball_domain(spec, 2)
+    _reference_scan(ext.iota, ball)
+    calls = _count_calls(ext.iota)
+    assert defect(ext.iota, ball).exact_pth_power_max == 1
+    assert calls == []
+    # a cold scan evaluates, each element at most once
+    spec, ext = _fp_brooks()
+    calls = _count_calls(ext.iota)
+    defect(ext.iota, ball_domain(spec, 2))
+    assert len(calls) == len(set(calls)) > 0

@@ -158,8 +158,9 @@ def test_undistortion_pipeline_frozen_bound():
     assert constants.m_value == 66
     assert out["restriction_consistent"]
     assert not out["conditional"]
-    tags = {step["provenance"] for step in out["chain"]}
-    assert tags <= {"exact", "certified-upper-bound"}
+    tags = {step["step"]: step["provenance"] for step in out["chain"]}
+    assert tags.pop("scl lower bound") == "certified-lower-bound"
+    assert set(tags.values()) <= {"exact", "certified-upper-bound"}
     assert out["scl_h_transport"]["value"] == str(Fraction(1, 264))
 
 
