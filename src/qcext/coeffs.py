@@ -18,10 +18,10 @@ dict; no code here writes to that dict once a vector holds it.
 
 The public ModuleVector constructor converts every coefficient, checks every
 index and drops zeros.  Arithmetic on vectors that already passed it (+, -,
-unary -, scale and act) builds its result through the
-module-private _trusted constructor, which skips those checks: the indices
-are the operands' own (act translates them injectively) and every stored
-coefficient is a nonzero Fraction.
+unary -, scale and act) returns an operand (v + 0, v - 0, 0 + v) or builds
+its result through the module-private _trusted constructor, which skips
+those checks: the indices are the operands' own (act translates them
+injectively) and every stored coefficient is a nonzero Fraction.
 """
 
 from __future__ import annotations
@@ -127,6 +127,10 @@ class ModuleVector:
 
     def _plus(self, other: ModuleVector, subtract: bool) -> ModuleVector:
         self._check(other)
+        if not other.coeffs:
+            return self  # vectors are immutable, so v + 0 and v - 0 share v
+        if not (self.coeffs or subtract):
+            return other  # 0 + v is v; 0 - v negates below
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             if subtract:

@@ -230,6 +230,7 @@ class FreeProductPairSpec:
         self.names = names
         self.budget = budget or SearchBudget()
         self._index = {nm: i for i, nm in enumerate(names)}
+        self._syllable_letters: dict[tuple, HLetter] = {}
 
     def __repr__(self):
         return f"FreeProductPairSpec({', '.join(self.names)})"
@@ -251,6 +252,14 @@ class FreeProductPairSpec:
             raise MixedContextError("element from a different group")
         raw = g.raw
         return not raw or (len(raw) == 1 and raw[0][0] == self._index[lam])
+
+    def syllable_letter(self, syl: tuple) -> HLetter:
+        """The subgroup letter of one raw syllable (i, a), built once."""
+        letter = self._syllable_letters.get(syl)
+        if letter is None:
+            letter = self._syllable_letters[syl] = HLetter(
+                self.names[syl[0]], FreeProductElement(self.group, (syl,)))
+        return letter
 
     def coset_rep(self, g: FreeProductElement, lam: str) -> FreeProductElement:
         """Canonical representative of g H_lam: drop a trailing lam-syllable."""

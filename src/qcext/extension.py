@@ -28,8 +28,9 @@ with the new coset's one pair (p, g) and step h; the trivial clause
 (g in H_lam, so p = 1) gives the same coset and pair.  Summing the averaged
 values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
 and iota(g) = iota(p) otherwise.  The evaluator walks down the route once
-to the deepest prefix in iota's memo (or to 1), then sums upward once and
-writes each prefix's value into the memo without re-entering iota.  The
+to the deepest prefix in iota's memo (or to 1), one memo probe per prefix,
+then sums upward once and writes each prefix's value into the memo without
+re-entering iota; a zero step shares its vector (v + 0 is v).  The
 writes skip iota's module check at no cost: every term is a value of an
 input q, each input checks its own module, and all inputs share one.  A
 generic w separates (1, g) afresh, and so does a basis w with 3C >= 1:
@@ -100,12 +101,8 @@ def k_constant(spec, lam: str, q: QuasiCocycle, c_value: Fraction,
     certified rational upper bound on the norm."""
     radius = 15 * Fraction(c_value)
     ball = spec.rel_ball(lam, radius, strict=True, budget=budget)
-    if not ball.elements:
-        # For C = 0 the strict ball is empty (even d-hat(1,1) = 0 fails < 0).
-        return Fraction(0), not ball.complete
-    best = Fraction(0)
-    for h in ball.elements:
-        best = max(best, q(h).norm_pth_power())
+    # For C = 0 the strict ball is empty (even d-hat(1,1) = 0 fails < 0).
+    best = max((q(h).norm_pth_power() for h in ball.elements), default=Fraction(0))
     return root_upper(best, q.module.p), not ball.complete
 
 
@@ -193,6 +190,8 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget):
     telescopes = spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)
 
     def separated(result: ExtensionResult, g) -> ModuleVector:
+        if g == identity:
+            return origin
         report = separation_report(spec, identity, g, c_value=c_value, budget=budget,
                                    lams=lams)
         total = origin
@@ -210,26 +209,25 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget):
         q = cocycles.get(letter.lam)
         return total if q is None else total + q(letter.elem).act(p)
 
-    def telescoped(memo: dict, g) -> ModuleVector:
-        p, letter = route_last_edge(spec, g)
+    def telescoped(result: ExtensionResult, g) -> ModuleVector:
+        edge = route_last_edge(spec, g)  # checks g's group; None for g = 1
+        if edge is None:
+            return origin
+        p, letter = edge
+        memo = result.iota._memo
         below = []  # (v, u, e): the route's edge e from u into v, for v under g
         v = p
-        while not (v.is_identity() or v in memo):
+        while (total := memo.get(v)) is None and not v.is_identity():
             u, e = route_last_edge(spec, v)
             below.append((v, u, e))
             v = u
-        total = memo.get(v, origin)
+        total = origin if total is None else total  # None: the walk reached 1
         for v, u, e in reversed(below):
             total = step(total, u, e)
             memo[v] = total
         return step(total, p, letter)
 
-    def evaluate(result: ExtensionResult, g) -> ModuleVector:
-        if g == identity:
-            return origin
-        return telescoped(result.iota._memo, g) if telescopes else separated(result, g)
-
-    return evaluate, module
+    return (telescoped if telescopes else separated), module
 
 
 def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,

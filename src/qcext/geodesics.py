@@ -43,6 +43,9 @@ route from 1 to g is the route from 1 to p followed by one edge (p, g),
 labelled by the last block's letter.  `route_last_edge` returns that split
 from one backward scan; `_basis_route` reads its blocks with the same rule
 (`_block_start`, `_block_letter`).  The extension telescopes along it.
+Edge letters are built once per spec on both closed-form families
+(`syllable_letter` on free products, `ambient_letters` and `power_letter`
+on a basis w), so equal blocks share one letter and its element.
 
 One breadth-first search kernel, `_bfs`, runs every coned-graph search of
 the relative family: the generic engine (with predecessors), the
@@ -65,7 +68,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterable, Sequence
 
-from .embedding import HLetter, SearchBudget, XLetter
+from .embedding import SearchBudget, XLetter
 from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeodesicError
 from .groups import FreeGroup, FreeProductElement, FreeWord
 
@@ -185,7 +188,7 @@ def route_last_edge(spec, g):
         raw = g.raw
         if not raw:
             return None
-        return FreeProductElement(spec.group, raw[:-1]), _syllable_letter(spec, raw[-1])
+        return FreeProductElement(spec.group, raw[:-1]), spec.syllable_letter(raw[-1])
     cs = g.codes
     if not spec.is_basis or not cs:
         return None
@@ -193,13 +196,8 @@ def route_last_edge(spec, g):
     return FreeWord(spec.group, cs[:i]), _block_letter(spec, cs, i, len(cs))
 
 
-def _syllable_letter(spec, syl) -> HLetter:
-    """The subgroup letter of one raw free-product syllable."""
-    return HLetter(spec.names[syl[0]], FreeProductElement(spec.group, (syl,)))
-
-
 def _free_product_geodesics(spec, f, u) -> GeodesicSet:
-    letters = [_syllable_letter(spec, syl) for syl in u.raw]
+    letters = [spec.syllable_letter(syl) for syl in u.raw]
     # Syllable normal form is the unique geodesic spelling: every edge moves
     # within one factor, and merging or splitting syllables only lengthens.
     return GeodesicSet(

@@ -129,7 +129,7 @@ class QuasiCocycle:
         if v is not None:
             return v
         v = self._fn(g)
-        if v.module != self.module:
+        if v.module is not self.module and v.module != self.module:
             raise MixedContextError(f"{self.name} produced a vector in a foreign module")
         self._memo[g] = v
         return v

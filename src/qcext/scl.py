@@ -287,20 +287,6 @@ class PipelineConstants:
         }
 
 
-def _bilipschitz_l(spec, lam: str, c_value: Fraction, budget=None):
-    """Smallest L with d_Y <= L * d-hat on the strict relative 15C-ball.
-
-    The pipeline runs on free products, where d-hat is infinite off the
-    diagonal: the strict ball is {1} for C > 0 and empty for C = 0, so no
-    element constrains L and L = 1 either way."""
-    ball = spec.rel_ball(lam, 15 * c_value, strict=True, budget=budget)
-    if not ball.elements:
-        return Fraction(1), "vacuous: strict ball is empty"
-    if any(not h.is_identity() for h in ball.elements):
-        raise InvariantError("a free-product strict relative ball holds only 1")
-    return Fraction(1), "exhaustive over the strict ball"
-
-
 def undistortion_pipeline(
     spec,
     lam: str,
@@ -347,15 +333,18 @@ def undistortion_pipeline(
         if phi_adj.scalar_value(y) != 0:
             raise InvariantError(f"adjusted value must vanish on Y1, not at {y}")
 
-    l_value, l_note = _bilipschitz_l(spec, lam, c)
-    notes.append(f"L: {l_note}")
+    # d-hat is infinite off the diagonal, so no element constrains L and K is
+    # ||phi'(1)|| = 0 (C > 0) or the max over nothing (C = 0).
+    ball = "empty (C = 0)" if c == 0 else "{1}"
+    why = f"family constant: on a free product the strict 15C-ball is {ball}"
+    l_value = Fraction(1)
+    notes.append(f"L: {why}")
 
     amb = embed_on_factor(spec, lam, phi_adj)
     extension = extend(spec, {lam: amb}, c_value=c, budget=budget, seed=seed)
     k_value = extension.per_lambda[lam]["K"]
-    k_cond = extension.per_lambda[lam]["K_conditional"]
-    if k_cond:
-        notes.append("K computed from an incomplete ball: result conditional")
+    if k_value != 0:
+        raise InvariantError(f"K on a free product must be 0, not {k_value}")
 
     d_cert = phi_adj.certified_defect
     ext_cert = extension.certificate
@@ -368,9 +357,9 @@ def undistortion_pipeline(
                   "provenance": "certified-upper-bound",
                   "detail": d_cert.to_json()})
     chain.append({"step": "K on the strict 15C ball", "value": str(k_value),
-                  "provenance": "exact" if not k_cond else "certified-upper-bound"})
+                  "provenance": "exact", "detail": why})
     chain.append({"step": "L with d_Y <= L*d-hat", "value": str(l_value),
-                  "provenance": "exact"})
+                  "provenance": "exact", "detail": why})
     chain.append({"step": "D(iota(phi')) <= 54K + 66D", "value": str(ext_cert.value),
                   "provenance": "certified-upper-bound",
                   "detail": ext_cert.to_json()})
@@ -386,7 +375,7 @@ def undistortion_pipeline(
     else:
         m_value = None
         notes.append("D(phi') = 0: chain bypasses M and uses D(psi) <= 2*54K")
-        denom_note = "phi(h) / (2 * (2*54K))" if psi_cert else "trivial: all constants vanish"
+        denom_note = "trivial: all constants vanish"  # K = 0, so psi_cert = 0
     chain.append({"step": "D(psi) <= 2*D(iota(phi'))", "value": str(psi_cert),
                   "provenance": "certified-upper-bound"})
 

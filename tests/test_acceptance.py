@@ -291,63 +291,87 @@ def test_a06_one_sided_extension_demo():
     )
 
 
-FLIP = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
-SYM = {1: "x", -1: "X", 2: "y", -2: "Y"}
+CODE = {"x": 0, "X": 1, "y": 2, "Y": 3}  # a letter's inverse is its code ^ 1
+LETTER_CODE = {1: 0, -1: 1, 2: 2, -2: 3}  # FreeWord.letters: +-(generator index + 1)
 
 
-def mul_str(u: str, m: str) -> str:
-    j = 0
-    lu, lm = len(u), len(m)
-    while j < lu and j < lm and u[lu - 1 - j] == FLIP[m[j]]:
-        j += 1
-    return u[: lu - j] + m[j:]
+def word_code(codes) -> int:
+    """A word as one int: a leading 1, then two bits per letter code."""
+    out = 1
+    for c in codes:
+        out = out << 2 | c
+    return out
 
 
-def string_sweep(wstr: str, cap: int, max_power: int) -> dict[str, int]:
-    """Independent oracle: breadth-first search over plain letter strings.
+def string_sweep(wstr: str, cap: int, max_power: int) -> dict[int, int]:
+    """Independent oracle: breadth-first search over reduced words, each held
+    as its `word_code`.
 
     Moves are the four generators and w^k for |k| <= max_power; the power
     cap is implied by the length cap since |v.w^k| >= |k||w| - |v|.  Moves
     are grouped by first letter, shortest first: only the group that starts
     with the inverse of v's last letter can cancel, every other move is a
-    plain concatenation and stops once it would pass the cap.
+    plain concatenation and stops once it would pass the cap.  The moves of
+    one group are prefixes of its longest (w is cyclically reduced, so w and
+    w^-1 start with different letters), so v is cancelled against the
+    longest once, j letters, and a move of length n cancels min(n, j); past
+    j the product grows with n, so that group too stops at the cap.
     """
-    winv = "".join(FLIP[c] for c in reversed(wstr))
-    moves = ["x", "X", "y", "Y"]
+    w = [CODE[c] for c in wstr]
+    winv = [c ^ 1 for c in reversed(w)]
+    moves = [[c] for c in range(4)]
     for k in range(1, max_power + 1):
-        moves.append(wstr * k)
-        moves.append(winv * k)
-    by_first = {c: sorted((m for m in moves if m[0] == c), key=len) for c in FLIP}
-    dist = {"": 0}
-    frontier = [""]
+        moves += [w * k, winv * k]
+    # per first letter: its moves as (length, letter bits), and the inverses
+    # of its longest move's letters, which v's last letters match to cancel
+    groups = []
+    for first in range(4):
+        group = sorted((m for m in moves if m[0] == first), key=len)
+        longest = group[-1]
+        assert all(m == longest[: len(m)] for m in group)
+        groups.append(([(len(m), word_code(m) ^ 1 << 2 * len(m)) for m in group],
+                       [c ^ 1 for c in longest]))
+    dist = {1: 0}
+    frontier = [1]
     d = 0
     while frontier:
         d += 1
         nxt = []
         for v in frontier:
-            cancels = FLIP[v[-1]] if v else None
-            room = cap - len(v)
-            for first, group in by_first.items():
-                for m in group:
-                    if first == cancels:
-                        if len(m) > cap + len(v):
+            n = (v.bit_length() - 1) >> 1
+            room = cap - n
+            cancels = (v & 3) ^ 1 if n else None
+            for first, (group, undo) in enumerate(groups):
+                if first == cancels:
+                    j, u, top = 0, v, min(n, len(undo))
+                    while j < top and u & 3 == undo[j]:
+                        j += 1
+                        u >>= 2
+                    for size, bits in group:
+                        if size <= j:
+                            nv = v >> 2 * size
+                        elif size - 2 * j > room:
                             break
-                        nv = mul_str(v, m)
-                        if len(nv) > cap:
-                            continue
-                    elif len(m) > room:
-                        break
-                    else:
-                        nv = v + m
-                    if nv not in dist:
-                        dist[nv] = d
-                        nxt.append(nv)
+                        else:
+                            rest = 2 * (size - j)
+                            nv = u << rest | bits & ((1 << rest) - 1)
+                        if nv not in dist:
+                            dist[nv] = d
+                            nxt.append(nv)
+                elif room > 0:
+                    for size, bits in group:
+                        if size > room:
+                            break
+                        nv = v << 2 * size | bits
+                        if nv not in dist:
+                            dist[nv] = d
+                            nxt.append(nv)
         frontier = nxt
     return dist
 
 
-def to_str(word) -> str:
-    return "".join(SYM[c] for c in word.letters)
+def to_code(word) -> int:
+    return word_code(LETTER_CODE[c] for c in word.letters)
 
 
 def test_a07_engine_matches_brute_force_sweep():
@@ -355,16 +379,17 @@ def test_a07_engine_matches_brute_force_sweep():
     relx = relx_spec()
     emap_x = distance_map(relx, 10)
     sweep_x = string_sweep("x", cap=11, max_power=22)
-    bad_x = sum(1 for w, d in emap_x.items() if sweep_x[to_str(w)] != d)
+    bad_x = sum(1 for w, d in emap_x.items() if sweep_x[to_code(w)] != d)
 
     relxy = FreeRelCyclicSpec(F2, F2.parse("x y"))
     emap_xy = distance_map(relxy, 10, sweep_len=12, max_power=12)
     sweep_xy = string_sweep("xy", cap=12, max_power=12)
-    bad_xy = sum(1 for w, d in emap_xy.items() if sweep_xy[to_str(w)] != d)
+    codes_xy = [to_code(w) for w in emap_xy]
+    bad_xy = sum(1 for c, d in zip(codes_xy, emap_xy.values()) if sweep_xy[c] != d)
 
     # cap-enlargement stability: growing the oracle ball changes nothing
     sweep_big = string_sweep("xy", cap=13, max_power=13)
-    drift = sum(1 for w in emap_xy if sweep_big[to_str(w)] != sweep_xy[to_str(w)])
+    drift = sum(1 for c in codes_xy if sweep_big[c] != sweep_xy[c])
 
     # hand-checked probes
     ok = emap_x[F2.parse("x^5 y")] == 2 and emap_x[F2.parse("y x^3 y x^2")] == 4

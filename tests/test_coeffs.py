@@ -48,11 +48,23 @@ def test_mixed_modules_rejected_by_add_and_sub():
     other = IndexedLp(FreeGroup(["a", "b"]), p=2, tags=("e",))
     v = delta(LP, (F2.identity(), "e"))
     w = delta(other, (other.group.identity(), "e"))
-    for left, right in ((real_value(1), v), (v, real_value(1)), (v, w)):
+    # a zero vector of a foreign module is refused too, on either side
+    for left, right in ((real_value(1), v), (v, real_value(1)), (v, w),
+                        (zero(other), v), (v, zero(other)),
+                        (zero(TrivialReals()), v), (v, zero(TrivialReals()))):
         with pytest.raises(MixedContextError):
             left + right
         with pytest.raises(MixedContextError):
             left - right
+
+
+def test_zero_operand_shares_the_other_vector():
+    for v in (real_value(Fraction(3, 2)), delta(LP, (F2.gen("x"), "e"), 2)):
+        z = zero(v.module)
+        assert v + z is v
+        assert z + v is v
+        assert v - z is v
+        assert z - v == -v
 
 
 def _random_vector(rng, module, indices):

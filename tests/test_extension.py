@@ -469,6 +469,57 @@ def test_fresh_word_walks_its_route_once(monkeypatch):
     assert len(calls) == 1
 
 
+class _ProbeCountingMemo(dict):
+    """A memo that counts the probes of one key."""
+
+    def __init__(self, watched, items):
+        super().__init__(items)
+        self.watched, self.probes = watched, 0
+
+    def _seen(self, key):
+        self.probes += key == self.watched
+
+    def get(self, key, default=None):
+        self._seen(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._seen(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self._seen(key)
+        return super().__getitem__(key)
+
+
+def test_one_block_extension_probes_its_parent_once():
+    _, fp, _, _, brooks_hom = _telescoping_cases()[0]
+    cases = [(REL_X, {"C": half_sign(REL_X)}, F2.parse("x y") ** 5, F2.parse("x")),
+             (fp, brooks_hom, fp.parse("x t") ** 5, fp.parse("y"))]
+    for spec, inputs, g, tail in cases:
+        res = extend(spec, inputs)
+        want = res.iota(g) + inputs[spec.lambdas()[0]](tail).act(g)
+        memo = _ProbeCountingMemo(g, res.iota._memo)
+        res.iota._memo = memo
+        assert res.iota(g * tail) == want
+        assert memo.probes == 1, spec
+
+
+def test_route_last_edge_builds_each_syllable_letter_once():
+    _, fp, _, _, _ = _telescoping_cases()[0]
+    twin = FreeProductPairSpec(FreeProduct(list(fp.group.factors)), ["A", "B"])
+    g, h = fp.parse("x t^2"), fp.parse("y^-1 x t^2")
+    _, letter = route_last_edge(fp, g)
+    _, again = route_last_edge(fp, h)
+    assert again is letter and again.elem is letter.elem
+    path = geodesics_module.geodesic_routes(fp, fp.identity(), g).geodesics[0]
+    assert path.letters[-1] is letter
+    # the letters belong to the spec: an equal spec over an equal group builds its own
+    assert twin.group == fp.group and twin.group is not fp.group
+    _, own = route_last_edge(twin, g)
+    assert own == letter and own is not letter
+
+
 def test_evaluation_notes_are_live():
     rel_xy = FreeRelCyclicSpec(
         F2, F2.parse("x y"), budget=SearchBudget(max_vertices=20_000, max_power=6)

@@ -176,6 +176,25 @@ def test_undistortion_pipeline_zero_defect_branch():
     assert out["constants"].m_value is None
     assert out["bound"].lower == 0
     assert any("bypasses M" in n for n in out["constants"].notes)
+    assert out["bound"].lower_witness["chain"] == "trivial: all constants vanish"
+
+
+def test_pipeline_states_k_and_l_as_family_constants():
+    psi = brooks_homogenized(F2, F2.parse("x y"))
+    h = commutator(X, Y)
+    for c, ball in ((Fraction(0), "empty (C = 0)"), (Fraction(1, 3), "{1}"),
+                    (Fraction(2), "{1}")):
+        out = undistortion_pipeline(fp_spec(), "A", h, psi, c_value=c)
+        why = f"family constant: on a free product the strict 15C-ball is {ball}"
+        steps = {step["step"]: step for step in out["chain"]}
+        assert steps["K on the strict 15C ball"] == {
+            "step": "K on the strict 15C ball", "value": "0", "provenance": "exact",
+            "detail": why}
+        assert steps["L with d_Y <= L*d-hat"] == {
+            "step": "L with d_Y <= L*d-hat", "value": "1", "provenance": "exact",
+            "detail": why}
+        assert out["constants"].notes[0] == f"L: {why}"
+        assert out["bound"].lower == Fraction(1, 1584)
 
 
 def test_undistortion_pipeline_validation():

@@ -101,7 +101,7 @@ def _pipeline_on_fp():
 @pytest.mark.parametrize("make, balls", [
     (_suite_on_rel_x, 1),  # the extension's K
     (_suite_on_fp, 2),  # the extension's K, one per label
-    (_pipeline_on_fp, 2),  # L, then the extension's K
+    (_pipeline_on_fp, 1),  # the extension's K; L is the family's constant
 ])
 def test_strict_ball_is_computed_once_per_constant(make, balls):
     # K comes from the ExtensionResult alone; wrap the instance's rel_ball
