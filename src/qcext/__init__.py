@@ -52,7 +52,6 @@ from .extension import (
 from .geodesics import (
     CayleyPath,
     GeodesicSet,
-    brute_force_distance_oracle,
     distance,
     distance_map,
     free_ball_words,
@@ -82,7 +81,6 @@ from .qc import (
     brooks,
     brooks_homogenized,
     coboundary1,
-    coboundary2,
     cyclic_homomorphism,
     defect,
     embed_on_factor,

@@ -53,11 +53,15 @@ the relative family: the generic engine (with predecessors), the
 relative metric's `_rel_bfs` (subgroup moves barred inside the subgroup).
 Its vertices are reduced words held as the bytes of their letter codes
 (`FreeWord.codes`), which hash and compare faster than tuples as dict keys;
-`FreeGroup.raw_mul` multiplies them, and `FreeWord(group, tuple(v))` turns a
-vertex back into a word.  Running out of `max_vertices` raises
+`FreeGroup.raw_mul` multiplies them.  Running out of `max_vertices` raises
 BudgetExhaustedError there; that is the engines' only vertex-budget rule.
-The independent `brute_force_distance_oracle` re-derives distances from
-scratch over group elements (no shared code with the engines) for testing.
+
+Balls of words are built in bulk.  `_block_counts` (behind `free_ball_words`
+and a basis `distance_map`) builds a layer of code tuples at a time, each
+with its block count, and the generic `distance_map` keeps the sweep's
+vertices that fit its radius; both turn code tuples into words with
+`groups._trusted_words`, a whole list per call, rather than one
+`FreeWord(group, codes)` per word.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from typing import Iterable, Sequence
 
 from .embedding import SearchBudget, XLetter
 from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeodesicError
-from .groups import FreeGroup, FreeProductElement, FreeWord
+from .groups import FreeGroup, FreeProductElement, FreeWord, _trusted_words
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -412,11 +416,13 @@ def _generic_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
     )
 
 
-# -- bulk distances and the independent oracle ---------------------------------
+# -- bulk distances -------------------------------------------------------------
 
 
 def free_ball_words(group: FreeGroup, radius: int) -> Iterable[FreeWord]:
     """All reduced words of length <= radius, shortest first, letter order."""
+    if radius < 0:
+        raise DomainError("radius must be nonnegative")
     return iter(_block_counts(group, radius, -1))
 
 
@@ -424,24 +430,28 @@ def _block_counts(group: FreeGroup, radius: int, wgen: int) -> dict:
     """{word: block count} over the ball, in `free_ball_words` order.  A
     letter opens a block unless it repeats the last letter and that is the
     basis generator wgen (`_block_start`'s rule, read forward); wgen = -1
-    counts letters.  Each layer's counts lie parallel to its code tuples."""
-    codes = range(2 * len(group.gens))
-    out = {group.identity(): 0}
+    counts letters.
+
+    The ball is built one layer at a time: the layer's code tuples and its
+    counts, parallel to them, come from the parent layer through a table
+    from the last code (-1 for the empty word) to the letters that may
+    follow it and what each adds to the count; the layer's words are built
+    in bulk and inserted with one update.
+    """
+    ncodes = 2 * len(group.gens)
+    tails, adds = {}, {}
+    for last in range(-1, ncodes):
+        nxt = [c for c in range(ncodes) if c != last ^ 1]
+        tails[last] = [(c,) for c in nxt]
+        adds[last] = [0 if c == last and c >> 1 == wgen else 1 for c in nxt]
     layer, counts = [()], [0]
+    out = dict(zip(_trusted_words(group, layer), counts))
     for _ in range(radius):
-        nxt, ncounts = [], []
-        for tup, n in zip(layer, counts):
-            last = tup[-1] if tup else -1
-            run = last if last >> 1 == wgen else -1
-            for c in codes:
-                if c == last ^ 1:
-                    continue
-                new = tup + (c,)
-                m = n if c == run else n + 1
-                nxt.append(new)
-                ncounts.append(m)
-                out[FreeWord(group, new)] = m
-        layer, counts = nxt, ncounts
+        layer, counts = (
+            [t + s for t in layer for s in tails[t[-1] if t else -1]],
+            [n + a for t, n in zip(layer, counts) for a in adds[t[-1] if t else -1]],
+        )
+        out.update(zip(_trusted_words(group, layer), counts))
     return out
 
 
@@ -454,124 +464,27 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
     parent (`_block_counts`), in `free_ball_words` order.  For the generic
     family this is one pruned breadth-first sweep over words of length <=
     sweep_len (default max_len + 2); reported values are upper bounds
-    wherever a true geodesic would have to leave that ball.
+    wherever a true geodesic would have to leave that ball.  Raises
+    DomainError for a negative max_len, and for a sweep_len below max_len,
+    which would drop words of the ball.
     """
     if spec.family != "free_rel_cyclic":
         raise DomainError("bulk distance maps target the free_rel_cyclic family")
+    if max_len < 0:
+        raise DomainError("radius must be nonnegative")
     group = spec.group
     if spec.is_basis:
         return _block_counts(group, max_len, spec.w.codes[0] >> 1)
     sweep_len = sweep_len if sweep_len is not None else max_len + 2
+    if sweep_len < max_len:
+        raise DomainError("sweep_len must be at least max_len")
     max_power = max_power if max_power is not None else spec.budget.max_power
     dist = _bfs(_search_moves(spec, max_power), sweep_len)
-    out = {}
-    for vb, dv in dist.items():
-        if len(vb) <= max_len:
-            out[FreeWord(group, tuple(vb))] = dv
-    return out
-
-
-def brute_force_distance_oracle(
-    spec,
-    f,
-    g,
-    max_power: int = 12,
-    max_s_length: int | None = None,
-    max_vertices: int = 2_000_000,
-) -> tuple[int, bool]:
-    """Independent distance check by plain breadth-first search.
-
-    Works on u = f^-1 g: moves act by right multiplication, so left
-    translation is a graph automorphism and the distance depends on u only.
-    Returns (distance, cap_touched).  The search is restricted to vertices
-    with word length at most max_s_length (default: |u| + 4) and to
-    subgroup edges with |power| <= max_power, so the value is in general
-    only an upper bound on the uncapped distance; cap_touched reports
-    whether a cap could actually have hidden a shorter path.  Pruning
-    events that provably cannot matter are not reported:
-
-    * free products: multiplying by one factor element changes the
-      normal-form syllable length by at most one, so the distance is
-      exact whenever every syllable of u fits the cap;
-    * relative family: a vertex pruned while producing breadth layer j
-      lies at depth j, so any path through it has length >= j + 1 and
-      can undercut a found distance d only when j <= d - 2; subgroup
-      powers are reported as binding only when a within-cap jump could
-      exceed max_power (|k| |w| <= |v| + |v w^k| <= 2 max_s_length).
-
-    Intentionally shares no machinery with the engines.
-    """
-    u = f.inverse() * g
-    moves = []
-    cap_touched = False
-    power_bind = False
-    if spec.family == "free_product":
-        free_syllables = [
-            len(w)
-            for idx, w in u.syllables
-            if isinstance(spec.group.factors[idx], FreeGroup)
-        ]
-        cap = max_s_length if max_s_length is not None else max(free_syllables, default=1)
-        cap_touched = any(n > cap for n in free_syllables)
-        for idx, factor in enumerate(spec.group.factors):
-            if isinstance(factor, FreeGroup):
-                seen = set()
-                stack = [()]
-                while stack:
-                    tup = stack.pop()
-                    if tup:
-                        moves.append(spec.group.syllable(idx, factor.word(tup)))
-                    if len(tup) >= cap:
-                        continue
-                    for i in range(1, len(factor.gens) + 1):
-                        for c in (i, -i):
-                            if tup and tup[-1] == -c:
-                                continue
-                            if tup + (c,) not in seen:
-                                seen.add(tup + (c,))
-                                stack.append(tup + (c,))
-            else:
-                for h in factor.elements()[1:]:
-                    moves.append(spec.group.syllable(idx, h))
-        len_cap = None
-    else:
-        for i in range(1, len(spec.group.gens) + 1):
-            for c in (i, -i):
-                moves.append(spec.group.word((c,)))
-        for k in range(-max_power, max_power + 1):
-            if k:
-                moves.append(spec.subgroup_element(k))
-        len_cap = max_s_length if max_s_length is not None else len(u) + 4
-        wlen = len(spec.w)
-        power_bind = (max_power + 1) * wlen <= 2 * len_cap
-
-    one = spec.group.identity()
-    seen = {one: 0}
-    frontier = [one]
-    d = 0
-    relevant = False  # length prunes while producing layers 1 .. d-2
-    recent = [False, False]  # same, for layers d-1 and d
-    while frontier:
-        if any(v == u for v in frontier):
-            return d, cap_touched or relevant or (power_bind and d >= 1)
-        d += 1
-        pruned = False
-        nxt = []
-        for v in frontier:
-            for mv in moves:
-                nv = v * mv
-                if len_cap is not None and len(nv) > len_cap:
-                    pruned = True
-                    continue
-                if nv not in seen:
-                    if len(seen) > max_vertices:
-                        raise BudgetExhaustedError("oracle vertex budget exceeded")
-                    seen[nv] = d
-                    nxt.append(nv)
-        relevant = relevant or recent[0]
-        recent = [recent[1], pruned]
-        frontier = nxt
-    raise BudgetExhaustedError("oracle found no path under its caps")
+    keys = [vb for vb in dist if len(vb) <= max_len]
+    return dict(zip(
+        _trusted_words(group, [tuple(vb) for vb in keys]),
+        [dist[vb] for vb in keys],
+    ))
 
 
 # -- coset visits and penetration -----------------------------------------------

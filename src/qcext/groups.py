@@ -12,6 +12,13 @@ code (generator i is i+1, its inverse -(i+1)) lives only at the API
 boundary: `FreeGroup.word` reads it and `FreeWord.letters` is a read-only
 view in it.  A finite-group element is stored as its table index.
 
+Bulk producers of words (a ball, layer by layer, in `geodesics`) build them
+with `_trusted_words`, which skips the dataclass `__init__`: it makes the
+instances with `object.__new__` and sets FreeWord's two slots through their
+descriptors in C-level `map` loops, so no word gets a Python frame.  The
+caller vouches that every code tuple is reduced; the words are the ones
+`FreeWord(group, codes)` would build, with the same equality and hash.
+
 Free-product elements are stored flat, in normal form: `raw` is a tuple of
 (factor index, raw factor value) syllables with adjacent factor indices
 distinct, the raw value being the codes of a free factor or the table index
@@ -41,9 +48,10 @@ free product).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -242,6 +250,16 @@ class FreeWord:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _trusted_words(group: FreeGroup, codes: list) -> list[FreeWord]:
+    """[FreeWord(group, c) for c in codes], for reduced code tuples, with no
+    Python frame per word."""
+    words = list(map(object.__new__, repeat(FreeWord, len(codes))))
+    drain = deque(maxlen=0).extend
+    drain(map(FreeWord.group.__set__, words, repeat(group)))
+    drain(map(FreeWord.codes.__set__, words, codes))
+    return words
 
 
 @dataclass(frozen=True, slots=True, eq=False)

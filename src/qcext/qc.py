@@ -200,15 +200,6 @@ def coboundary1(q: QuasiCocycle):
     return d1
 
 
-def coboundary2(c):
-    """d2 c (g1, g2, g3) = g1.c(g2,g3) - c(g1g2,g3) + c(g1,g2g3) - c(g1,g2)."""
-
-    def d2(g1, g2, g3) -> ModuleVector:
-        return c(g2, g3).act(g1) - c(g1 * g2, g3) + c(g1, g2 * g3) - c(g1, g2)
-
-    return d2
-
-
 def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     """Scan ||q(fg) - q(f) - f.q(g)|| over elements x elements and keep the
     exact maximum p-th power with its first witness in row-major order.

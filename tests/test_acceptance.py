@@ -21,7 +21,6 @@ from qcext.qc import (
     brooks,
     brooks_homogenized,
     coboundary1,
-    coboundary2,
     cyclic_homomorphism,
     defect,
     embed_on_factor,
@@ -31,6 +30,8 @@ from qcext.qc import (
 )
 from qcext.scl import cl_upper, free_dist_experiment, scl_upper, undistortion_pipeline
 from qcext.suite import EXTENSION_CHECKS, SEP_CHECKS, ball_domain, run_full_suite
+
+from independent_oracles import coboundary2, string_sweep, to_code
 
 FLOAT_TOL = 1e-9
 
@@ -289,89 +290,6 @@ def test_a06_one_sided_extension_demo():
         ok,
         "violation k for k=1..10; symmetrized rerun defect 1/2 <= 33",
     )
-
-
-CODE = {"x": 0, "X": 1, "y": 2, "Y": 3}  # a letter's inverse is its code ^ 1
-LETTER_CODE = {1: 0, -1: 1, 2: 2, -2: 3}  # FreeWord.letters: +-(generator index + 1)
-
-
-def word_code(codes) -> int:
-    """A word as one int: a leading 1, then two bits per letter code."""
-    out = 1
-    for c in codes:
-        out = out << 2 | c
-    return out
-
-
-def string_sweep(wstr: str, cap: int, max_power: int) -> dict[int, int]:
-    """Independent oracle: breadth-first search over reduced words, each held
-    as its `word_code`.
-
-    Moves are the four generators and w^k for |k| <= max_power; the power
-    cap is implied by the length cap since |v.w^k| >= |k||w| - |v|.  Moves
-    are grouped by first letter, shortest first: only the group that starts
-    with the inverse of v's last letter can cancel, every other move is a
-    plain concatenation and stops once it would pass the cap.  The moves of
-    one group are prefixes of its longest (w is cyclically reduced, so w and
-    w^-1 start with different letters), so v is cancelled against the
-    longest once, j letters, and a move of length n cancels min(n, j); past
-    j the product grows with n, so that group too stops at the cap.
-    """
-    w = [CODE[c] for c in wstr]
-    winv = [c ^ 1 for c in reversed(w)]
-    moves = [[c] for c in range(4)]
-    for k in range(1, max_power + 1):
-        moves += [w * k, winv * k]
-    # per first letter: its moves as (length, letter bits), and the inverses
-    # of its longest move's letters, which v's last letters match to cancel
-    groups = []
-    for first in range(4):
-        group = sorted((m for m in moves if m[0] == first), key=len)
-        longest = group[-1]
-        assert all(m == longest[: len(m)] for m in group)
-        groups.append(([(len(m), word_code(m) ^ 1 << 2 * len(m)) for m in group],
-                       [c ^ 1 for c in longest]))
-    dist = {1: 0}
-    frontier = [1]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            n = (v.bit_length() - 1) >> 1
-            room = cap - n
-            cancels = (v & 3) ^ 1 if n else None
-            for first, (group, undo) in enumerate(groups):
-                if first == cancels:
-                    j, u, top = 0, v, min(n, len(undo))
-                    while j < top and u & 3 == undo[j]:
-                        j += 1
-                        u >>= 2
-                    for size, bits in group:
-                        if size <= j:
-                            nv = v >> 2 * size
-                        elif size - 2 * j > room:
-                            break
-                        else:
-                            rest = 2 * (size - j)
-                            nv = u << rest | bits & ((1 << rest) - 1)
-                        if nv not in dist:
-                            dist[nv] = d
-                            nxt.append(nv)
-                elif room > 0:
-                    for size, bits in group:
-                        if size > room:
-                            break
-                        nv = v << 2 * size | bits
-                        if nv not in dist:
-                            dist[nv] = d
-                            nxt.append(nv)
-        frontier = nxt
-    return dist
-
-
-def to_code(word) -> int:
-    return word_code(LETTER_CODE[c] for c in word.letters)
 
 
 def test_a07_engine_matches_brute_force_sweep():

@@ -9,7 +9,6 @@ from qcext import (
     FreeProductPairSpec,
     FreeRelCyclicSpec,
     SearchBudget,
-    brute_force_distance_oracle,
     distance,
     free_ball_words,
     geodesic_routes,
@@ -17,10 +16,12 @@ from qcext import (
     penetration,
 )
 from qcext.embedding import HLetter
-from qcext.errors import MixedContextError, NotGeodesicError
+from qcext.errors import DomainError, MixedContextError, NotGeodesicError
 from qcext.geodesics import CayleyPath, distance_map
-from qcext.groups import cyclic_group
+from qcext.groups import FreeWord, cyclic_group
 from qcext.suite import ball_domain
+
+from independent_oracles import brute_force_distance_oracle
 
 
 F2 = FreeGroup(["x", "y"])
@@ -249,13 +250,35 @@ def test_distance_map_agrees_with_engine_basis():
         assert distance(REL_X, F2.identity(), w) == d
 
 
-@pytest.mark.parametrize("w", ["x", "x^-1", "y"])
-def test_distance_map_basis_counts_blocks(w):
-    spec = FreeRelCyclicSpec(F2, F2.parse(w))
+def _check_keys(dm, group):
+    """Keys built in bulk are ordinary words of the group."""
+    for key in dm:
+        assert type(key.codes) is tuple
+        assert key.group is group
+        parsed = group.parse(str(key))
+        assert key == parsed and hash(key) == hash(parsed), str(key)
+        for name, value in (("codes", ()), ("group", F2)):
+            with pytest.raises(AttributeError):
+                setattr(key, name, value)
+
+
+F3 = FreeGroup(["x", "y", "z"])
+
+
+@pytest.mark.parametrize(
+    "group, w, radius",
+    [(F2, "x", 6), (F2, "x^-1", 6), (F2, "y", 6), (F3, "z", 5), (F3, "y^-1", 5),
+     (F2, "x", 0), (F2, "x", 1), (F2, "y^-1", 1)],
+    ids=["x", "x^-1", "y", "F3-z-5", "F3-y^-1-5", "x-0", "x-1", "y^-1-1"],
+)
+def test_distance_map_basis_counts_blocks(group, w, radius):
+    spec = FreeRelCyclicSpec(group, group.parse(w))
     gen = abs(spec.w.letters[0])
-    dm = distance_map(spec, 6)
-    assert list(dm) == list(free_ball_words(F2, 6))
+    dm = distance_map(spec, radius)
+    assert list(dm) == list(free_ball_words(group, radius))
     assert list(dm) == sorted(dm, key=lambda v: (len(v), v.codes))
+    n = 2 * len(group.gens)
+    assert len(dm) == 1 + sum(n * (n - 1) ** (k - 1) for k in range(1, radius + 1))
     for word, d in dm.items():
         # Count blocks backward: a maximal run of the basis generator, or
         # one other letter.
@@ -267,6 +290,48 @@ def test_distance_map_basis_counts_blocks(w):
                 j -= 1
             blocks += 1
         assert d == blocks, str(word)
+    _check_keys(dm, group)
+
+
+def test_generic_map_keys_are_words():
+    _check_keys(distance_map(REL_XY, 4, sweep_len=6, max_power=4), F2)
+
+
+def test_ball_kernel_calls_no_word_init(monkeypatch):
+    # The ball is built in bulk by the trusted constructor, not one
+    # FreeWord(group, codes) per word.
+    calls = []
+    init = FreeWord.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeWord, "__init__", counting)
+    assert len(distance_map(REL_X, 4)) == 161
+    assert len(list(free_ball_words(F2, 3))) == 53
+    assert calls == []
+
+
+def test_distance_map_rejects_short_sweep():
+    # a sweep shorter than the radius would silently drop words
+    with pytest.raises(DomainError):
+        distance_map(REL_XY, 4, sweep_len=2, max_power=4)
+    assert len(distance_map(REL_XY, 2, sweep_len=2, max_power=4)) == 17
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: distance_map(REL_X, -1),
+        lambda: distance_map(REL_XY, -1),
+        lambda: free_ball_words(F2, -2),
+    ],
+    ids=["basis-map", "generic-map", "ball"],
+)
+def test_negative_radius_is_rejected(call):
+    with pytest.raises(DomainError, match="radius must be nonnegative"):
+        call()
 
 
 def test_distance_map_generic_small():

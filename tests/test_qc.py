@@ -19,7 +19,6 @@ from qcext import (
     brooks,
     brooks_homogenized,
     coboundary1,
-    coboundary2,
     cyclic_homomorphism,
     defect,
     delta,
@@ -33,6 +32,8 @@ from qcext import (
 from qcext.errors import CertificateError, DomainError, MixedContextError
 from qcext.qc import half_sign
 from qcext.suite import ball_domain
+
+from independent_oracles import coboundary2
 
 F2 = FreeGroup(["x", "y"])
 REL_X = FreeRelCyclicSpec(F2, F2.parse("x"))
