@@ -100,6 +100,22 @@ def _int(data: dict, key: str, default: int) -> int:
     raise ConfigError(f"{key} must be an integer, not {raw!r}")
 
 
+def _list(data: dict, key: str, what: str, item=lambda x: True, default=None) -> list:
+    """data[key], or default, as a list whose every entry passes `item`."""
+    value = data.get(key, default)
+    if not isinstance(value, list) or not all(map(item, value)):
+        raise ConfigError(f"{key} must be a list of {what}")
+    return value
+
+
+def _positive_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
+def _pair(p) -> bool:
+    return isinstance(p, list) and len(p) == 2
+
+
 def _spec(config: dict):
     return spec_from_json(_require(config, "spec"))
 
@@ -176,7 +192,7 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
         raise ConfigError(f"unknown extend mode {mode!r}")
 
     values = []
-    for text in config.get("evaluate", []):
+    for text in _list(config, "evaluate", "words", default=[]):
         g = spec.parse(str(text))
         values.append({"g": str(g), "iota": vector_json(result.iota(g))})
     samples = _int(config, "restriction_samples", 20)
@@ -195,13 +211,8 @@ def cmd_separating(config: dict, seed: int) -> tuple[dict, int]:
     budget = _budget(config)
     c = config_rational(config, "c")
     lams = config.get("lambdas")
-    pairs = _require(config, "pairs")
-    if not isinstance(pairs, list):
-        raise ConfigError("pairs must be a list of [f, g] pairs")
     rows = []
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"bad pair {pair!r}")
+    for pair in _list(config, "pairs", "[f, g] pairs", _pair):
         f, g = spec.parse(str(pair[0])), spec.parse(str(pair[1]))
         report = separation_report(spec, f, g, c_value=c, budget=budget, lams=lams)
         for lam in sorted(report):
@@ -239,17 +250,17 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
 
 def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
     spec = _spec(config)
-    sizes = config.get("ngon_sizes", [3, 4, 5, 6])
-    if not isinstance(sizes, list) or not sizes or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes
-    ):
-        raise ConfigError("ngon_sizes must be a non-empty list of positive integers")
+    sizes = _list(config, "ngon_sizes", "positive integers", _positive_int, [3, 4, 5, 6])
+    if not sizes:
+        raise ConfigError("ngon_sizes must be non-empty")
+    if (element_size := _int(config, "element_size", 6)) < 0:
+        raise ConfigError("element_size must be nonnegative")
     report = calibrate_c(
         spec,
         samples=_int(config, "samples", 200),
         ngon_sizes=tuple(sizes),
         seed=seed,
-        element_size=_int(config, "element_size", 6),
+        element_size=element_size,
         budget=_budget(config),
     )
     payload = report.to_json()
@@ -290,9 +301,7 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
         raise ConfigError(f"unsupported phi kind {kind!r}")
     y_gens = config.get("y_gens")
     if y_gens is not None:
-        if not isinstance(y_gens, list):
-            raise ConfigError("y_gens must be a list of words")
-        y_gens = [factor.parse(str(t)) for t in y_gens]
+        y_gens = [factor.parse(str(t)) for t in _list(config, "y_gens", "words")]
     upper_cfg = config.get("upper")
     if upper_cfg is not None:
         if not isinstance(upper_cfg, dict):
@@ -300,11 +309,7 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
         n = _int(upper_cfg, "n", 1)
         if n < 1:
             raise ConfigError("upper n must be a positive integer")
-        pairs = _require(upper_cfg, "commutators")
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs
-        ):
-            raise ConfigError("commutators must be a list of [u, v] pairs")
+        pairs = _list(upper_cfg, "commutators", "[u, v] pairs", _pair)
     reference = config_rational(config, "reference_scl_h")
 
     report = undistortion_pipeline(
@@ -344,11 +349,7 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def cmd_distortion(config: dict, seed: int) -> tuple[dict, int]:
-    k_list = config.get("k_list", list(range(1, 7)))
-    if not isinstance(k_list, list) or not all(
-        isinstance(k, int) and k >= 1 for k in k_list
-    ):
-        raise ConfigError("k_list must be a list of positive integers")
+    k_list = _list(config, "k_list", "positive integers", _positive_int, list(range(1, 7)))
     payload = free_dist_experiment(k_list, seed=seed)
     ok = payload["distortion_witnessed"]
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -223,11 +223,12 @@ class FreeProductPairSpec:
         names: Sequence[str] | None = None,
         budget: SearchBudget | None = None,
     ):
-        names = tuple(names) if names is not None else _DEFAULT_NAMES[: len(group.factors)]
-        if len(names) != len(group.factors) or len(set(names)) != len(names):
-            raise DomainError("need one distinct label per factor")
+        names = _DEFAULT_NAMES[: len(group.factors)] if names is None else names
+        if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
+                and len(names) == len(group.factors) == len(set(names))):
+            raise DomainError("names must be one distinct string per factor")
         self.group = group
-        self.names = names
+        self.names = names = tuple(names)
         self.budget = budget or SearchBudget()
         self._index = {nm: i for i, nm in enumerate(names)}
         self._syllable_letters: dict[tuple, HLetter] = {}
@@ -560,9 +561,8 @@ def spec_from_json(data: dict):
                 built.append(FiniteTableGroup(names, table))
             else:
                 raise ConfigError(f"unknown factor kind {f.get('kind')!r}")
-        names = data.get("names")
         try:
-            return FreeProductPairSpec(FreeProduct(built), names=names, budget=budget)
+            return FreeProductPairSpec(FreeProduct(built), names=data.get("names"), budget=budget)
         except DomainError as e:
             raise ConfigError(str(e)) from None
     if family == "free_rel_cyclic":

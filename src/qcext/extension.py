@@ -14,7 +14,7 @@ on the strict 15C-ball of the relative metric.
 Telescoping on closed-form routes.  On free products and on a basis w the
 route from 1 to g is the route from 1 to p followed by one edge (p, g) with
 letter l and step h = l.elem, where p is g without its last syllable or
-block (`geodesics.route_last_edge`).  Every subgroup edge of such a route
+block (`geodesics.last_block`).  Every subgroup edge of such a route
 enters its own coset: its first vertex ends outside the subgroup (or is 1),
 so it is its own coset representative, and the cosets of distinct edges
 differ.  The edge's relative width is infinite on free products (distinct
@@ -27,16 +27,17 @@ essential, none is excluded or uncertain, and
 with the new coset's one pair (p, g) and step h; the trivial clause
 (g in H_lam, so p = 1) gives the same coset and pair.  Summing the averaged
 values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
-and iota(g) = iota(p) otherwise.  The evaluator walks down the route once
-to the deepest prefix in iota's memo (or to 1), one memo probe per prefix,
-then sums upward once and writes each prefix's value into the memo without
-re-entering iota; a zero step shares its vector (v + 0 is v).  The
-writes skip iota's module check at no cost: every term is a value of an
-input q, each input checks its own module, and all inputs share one.  A
-generic w separates (1, g) afresh, and so does a basis w with 3C >= 1:
-there the trivial clause separates x at width 1 while the block x of y x
-is excluded, so S_lam(1, .) is not prefix-closed.  The choice depends
-only on the family and on C.
+and iota(g) = iota(p) otherwise.  The evaluator runs on g's normal form,
+which keys iota's memo: it walks down it once to the deepest prefix slice
+in the memo (or to 1), one probe per slice, then sums upward once and
+writes each slice's value into the memo without re-entering iota; a zero
+step shares its vector (v + 0 is v), and only an indexed module's act
+gets the prefix built as an element.  The writes skip iota's module check
+at no cost: every term is a value of an input q, each input checks its own
+module, and all inputs share one.  A generic w separates (1, g) afresh, and
+so does a basis w with 3C >= 1: there the trivial clause separates x at
+width 1 while the block x of y x is excluded, so S_lam(1, .) is not
+prefix-closed.  The choice depends only on the family and on C.
 
 Inputs must be antisymmetric (declared and spot-checked).  `asnec_demo`
 runs the raw pipeline on a deliberately one-sided input to exhibit the
@@ -48,10 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import ModuleVector, sum_vectors, zero
+from .coeffs import ModuleVector, TrivialReals, sum_vectors, zero
 from .embedding import seeded_rng
 from .errors import CertificateError, DomainError, MixedContextError
-from .geodesics import route_last_edge
+from .geodesics import last_block
 from .qc import (
     CertifiedBound,
     QuasiCocycle,
@@ -176,22 +177,26 @@ class ExtensionResult:
 
 
 def _combed_evaluator(spec, cocycles: dict, c_value, budget):
-    """Shared evaluator for iota: evaluate(result, g) sums the combed
-    bicombing at (1, g) over subgroups, for g not in result.iota's memo.
+    """Shared evaluator for iota: evaluate(result, raw) sums the combed
+    bicombing at (1, g) over subgroups, for the normal form raw of a g that
+    is not in result.iota's memo.
 
     On free products, and on a basis w with 3C < 1, it telescopes along the
-    route (the module docstring): one walk down, then one sum up that
-    memoizes every prefix, so no word recurses.  Otherwise it separates
-    (1, g) and writes the report's notes straight into `result`."""
+    route (the module docstring): one walk down the normal form, then one
+    sum up that memoizes every prefix, so no word recurses.  Otherwise it
+    separates (1, g) and writes the report's notes straight into `result`."""
     module = next(iter(cocycles.values())).module
     identity = spec.identity()
+    wrap = spec.group.wrap
     origin = zero(module)
     lams = tuple(sorted(cocycles))
     telescopes = spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)
+    acts = not isinstance(module, TrivialReals)  # the trivial action ignores its g
 
-    def separated(result: ExtensionResult, g) -> ModuleVector:
-        if g == identity:
+    def separated(result: ExtensionResult, raw) -> ModuleVector:
+        if not raw:
             return origin
+        g = wrap(raw)
         report = separation_report(spec, identity, g, c_value=c_value, budget=budget,
                                    lams=lams)
         total = origin
@@ -207,24 +212,24 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget):
 
     def step(total: ModuleVector, p, letter) -> ModuleVector:
         q = cocycles.get(letter.lam)
-        return total if q is None else total + q(letter.elem).act(p)
+        return total if q is None else total + q(letter.elem).act(wrap(p) if acts else p)
 
-    def telescoped(result: ExtensionResult, g) -> ModuleVector:
-        edge = route_last_edge(spec, g)  # checks g's group; None for g = 1
-        if edge is None:
+    def telescoped(result: ExtensionResult, raw) -> ModuleVector:
+        if not raw:
             return origin
-        p, letter = edge
         memo = result.iota._memo
-        below = []  # (v, u, e): the route's edge e from u into v, for v under g
-        v = p
-        while (total := memo.get(v)) is None and not v.is_identity():
-            u, e = route_last_edge(spec, v)
+        k, letter = last_block(spec, raw)
+        p = raw[:k]  # normal forms all the way down; no prefix element is built
+        below = []  # (v, u, e): the route's edge e from u into v, for v under raw
+        v, total = p, None
+        while v and (total := memo.get(v)) is None:
+            k, e = last_block(spec, v)
+            u = v[:k]
             below.append((v, u, e))
             v = u
         total = origin if total is None else total  # None: the walk reached 1
         for v, u, e in reversed(below):
-            total = step(total, u, e)
-            memo[v] = total
+            total = memo[v] = step(total, u, e)
         return step(total, p, letter)
 
     return (telescoped if telescopes else separated), module
@@ -266,7 +271,7 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         name,
         spec.group,
         module,
-        lambda g: evaluate(result, g),
+        lambda raw: evaluate(result, raw),
         antisymmetric=all(q.antisymmetric for q in cocycles.values()),
         homogeneous=False,
         # On free products the combing follows the syllable normal form, so
@@ -277,6 +282,7 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
             "extension-certificate",
             "sum over subgroups of 54*K + 66*D",
         ),
+        on_normal_forms=True,
     )
     result = ExtensionResult(
         spec=spec,

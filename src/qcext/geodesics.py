@@ -40,9 +40,10 @@ block by block: on free products a block is a syllable, on a basis w a
 maximal run of the basis letter or one other letter.  Dropping the last
 block leaves a prefix p whose blocks are the first blocks of g, so the
 route from 1 to g is the route from 1 to p followed by one edge (p, g),
-labelled by the last block's letter.  `route_last_edge` returns that split
-from one backward scan; `_basis_route` reads its blocks with the same rule
-(`_block_start`, `_block_letter`).  The extension telescopes along it.
+labelled by the last block's letter.  `last_block` reads that split off
+the normal form of g with one backward scan; `_basis_route` reads its blocks
+with the same rule (`_block_start`, `_block_letter`).  The extension
+telescopes along it.
 Edge letters are built once per spec on both closed-form families
 (`syllable_letter` on free products, `ambient_letters` and `power_letter`
 on a basis w), so equal blocks share one letter and its element.
@@ -74,7 +75,7 @@ from typing import Iterable, Sequence
 
 from .embedding import SearchBudget, XLetter
 from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeodesicError
-from .groups import FreeGroup, FreeProductElement, FreeWord, _trusted_words
+from .groups import FreeGroup, FreeWord, _trusted_words
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -176,28 +177,18 @@ def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
     return geodesic_routes(spec, f, g, budget=budget).distance
 
 
-def route_last_edge(spec, g):
-    """The last edge of the closed-form route from 1 to g, as (p, letter)
-    with p * letter.elem == g; None for g = 1 or a generic w.
-
-    On free products p is g without its last syllable and the letter is
-    that syllable's HLetter; on a basis w, p is g without its last block
-    and the letter is the ambient letter of a one-letter block or w^k for
-    a run of k basis letters.  Raises MixedContextError for an element of
-    another group.
-    """
-    if g.group is not spec.group and g.group != spec.group:
-        raise MixedContextError("element from a different group")
+def last_block(spec, raw) -> tuple:
+    """The last edge of the closed-form route from 1 to the element with
+    nonempty normal form `raw`, as (k, letter): raw[:k] is the normal form
+    of the edge's first vertex, and the letter labels the last syllable on
+    free products or the last block on a basis w (as in `_basis_route`).
+    A generic w has no closed-form route: DomainError."""
     if spec.family == "free_product":
-        raw = g.raw
-        if not raw:
-            return None
-        return FreeProductElement(spec.group, raw[:-1]), spec.syllable_letter(raw[-1])
-    cs = g.codes
-    if not spec.is_basis or not cs:
-        return None
-    i = _block_start(cs, len(cs), spec.w.codes[0] >> 1)
-    return FreeWord(spec.group, cs[:i]), _block_letter(spec, cs, i, len(cs))
+        return len(raw) - 1, spec.syllable_letter(raw[-1])
+    if not spec.is_basis:
+        raise DomainError("only closed-form routes split into blocks")
+    i = _block_start(raw, len(raw), spec.w.codes[0] >> 1)
+    return i, _block_letter(spec, raw, i, len(raw))
 
 
 def _free_product_geodesics(spec, f, u) -> GeodesicSet:

@@ -30,6 +30,10 @@ its hash and equality stay in C.  Factor elements are built only at the
 API boundary: `FreeProduct.syllable` reads a factor element's raw value, and
 the `syllables` view and `str` wrap raw values back.
 
+Each group's `unwrap`, an `operator.attrgetter` class attribute, reads an
+element's normal form (codes, raw syllables or table index) in C, and
+`wrap` builds the element back; `qc.QuasiCocycle` keys its memo by it.
+
 Element equality compares the payload (codes, raw syllables or table index)
 first and the group second, by identity before value.  Element hashes are
 payload-only: equal elements have equal payloads, and since no symbol string
@@ -52,6 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, repeat
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -160,8 +165,7 @@ class FreeGroup:
     def raw_inv(a: tuple) -> tuple:
         return tuple([c ^ 1 for c in reversed(a)])
 
-    def unwrap(self, a: FreeWord) -> tuple:
-        return a.codes
+    unwrap = attrgetter("codes")  # the normal form of a word
 
     def wrap(self, raw: tuple) -> FreeWord:
         return FreeWord(self, raw)
@@ -203,9 +207,6 @@ class FreeWord:
 
     def __len__(self):
         return len(self.codes)
-
-    def __bool__(self):
-        return bool(self.codes)
 
     def is_identity(self) -> bool:
         return not self.codes
@@ -389,8 +390,7 @@ class FiniteTableGroup:
     def raw_inv(self, a: int) -> int:
         return self._inverse[a]
 
-    def unwrap(self, a: FiniteElement) -> int:
-        return a.index
+    unwrap = attrgetter("index")
 
     def wrap(self, raw: int) -> FiniteElement:
         return FiniteElement(self, raw)
@@ -401,13 +401,6 @@ class FiniteTableGroup:
     def raw_token(self, sym: str, k: int) -> int:
         """The table index of sym^k."""
         return (self.element(sym) ** k).index
-
-    def parse(self, text: str) -> FiniteElement:
-        out = 0
-        for token in _split_tokens(text):
-            if token != "1":
-                out = self.table[out][self.raw_token(*_parse_token(token))]
-        return FiniteElement(self, out)
 
 
 def cyclic_group(order: int, sym: str = "g") -> FiniteTableGroup:
@@ -495,8 +488,7 @@ class FreeProduct:
         factors = self.factors
         return tuple([(i, factors[i].raw_inv(x)) for i, x in a[::-1]])
 
-    def unwrap(self, a: FreeProductElement) -> tuple:
-        return a.raw
+    unwrap = attrgetter("raw")
 
     def wrap(self, raw: tuple) -> FreeProductElement:
         return FreeProductElement(self, raw)

@@ -101,6 +101,11 @@ class QuasiCocycle:
     Flags are promises made by the constructor (antisymmetric, homogeneous,
     exact_cocycle); downstream code may spot-check them but never infers
     them from samples.
+
+    The memo is keyed by normal form (`group.unwrap`) for elements of q's
+    group or an equal one, so a probe runs no Python frame; elements of
+    other groups are kept apart, keyed by element.  With `on_normal_forms`
+    fn takes normal forms, and other groups raise MixedContextError.
     """
 
     def __init__(
@@ -113,6 +118,7 @@ class QuasiCocycle:
         homogeneous: bool = False,
         exact_cocycle: bool = False,
         certified_defect: CertifiedBound | None = None,
+        on_normal_forms: bool = False,
     ):
         self.name = name
         self.group = group
@@ -122,16 +128,27 @@ class QuasiCocycle:
         self.homogeneous = homogeneous
         self.exact_cocycle = exact_cocycle
         self.certified_defect = certified_defect
-        self._memo: dict = {}
+        self._on_normal_forms = on_normal_forms
+        self._twin = group  # the last group found equal to q's
+        self._memo: dict = {}  # normal form -> value, for q's group
+        self._foreign: dict = {}  # element -> value, for any other group
 
     def __call__(self, g) -> ModuleVector:
-        v = self._memo.get(g)  # values are ModuleVectors, never None
-        if v is not None:
-            return v
-        v = self._fn(g)
-        if v.module is not self.module and v.module != self.module:
-            raise MixedContextError(f"{self.name} produced a vector in a foreign module")
-        self._memo[g] = v
+        group = g.group
+        if group is not self.group and group is not self._twin and group == self.group:
+            self._twin = group  # groups are immutable: the next test is `is`
+        if group is self.group or group is self._twin:
+            memo, key = self._memo, group.unwrap(g)
+        elif self._on_normal_forms:
+            raise MixedContextError(f"{self.name} takes elements of its own group")
+        else:
+            memo, key = self._foreign, g
+        v = memo.get(key)  # values are ModuleVectors, never None
+        if v is None:
+            v = self._fn(key if self._on_normal_forms else g)
+            if v.module is not self.module and v.module != self.module:
+                raise MixedContextError(f"{self.name} produced a vector in a foreign module")
+            memo[key] = v
         return v
 
     def scalar_value(self, g) -> Fraction:
@@ -208,11 +225,12 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     (MixedContextError otherwise), is unwrapped once, and each pair's
     product is that group's `raw_mul` of the two raw values, so no product
     element is built or hashed.  Products are looked up in a table from
-    normal form to value, seeded with the values q already holds: the keys
-    of q's memo that lie in the same group, by identity or equality, so
-    equal codes from another group never stand in for each other.  A
-    product missing from it is wrapped once and evaluated through q (and so
-    memoized), in row-major order.
+    normal form to value.  When the scan's group is q's group, or equal to
+    it, the table starts as a copy of q's memo as it stands, which is keyed
+    by normal form already; over any other group, whose values q keeps
+    apart, it starts with the scanned elements.  A product missing from the
+    table is wrapped once and evaluated through q (and so memoized), in
+    row-major order.
 
     Over TrivialReals (p = 1) the pass is integer arithmetic: the table
     holds each distinct value once, scaled to an integer over the common
@@ -227,16 +245,15 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     for e in elements:
         if e.group is not group and e.group != group:
             raise MixedContextError("defect scan over elements of different groups")
-    for e in elements:
-        q(e)
+    values = [q(e) for e in elements]
     scalar = isinstance(q.module, TrivialReals)
     unwrap, raw_mul = group.unwrap, group.raw_mul
+    raws = [unwrap(e) for e in elements]
     # normal form -> value: over TrivialReals, denom * value, an int
-    table = {unwrap(g): v.scalar() if scalar else v
-             for g, v in q._memo.items() if g.group is group or g.group == group}
-    denom = 1
+    known = q._memo if group is q.group or group == q.group else dict(zip(raws, values))
+    table = {r: v.scalar() for r, v in known.items()} if scalar else dict(known)
+    denom = lcm(*{x.denominator for x in table.values()}) if scalar else 1
     if scalar:
-        denom = lcm(*{x.denominator for x in table.values()})
         for r, x in table.items():
             table[r] = x.numerator * (denom // x.denominator)
 
@@ -247,7 +264,6 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
         x = v.scalar() * denom  # a new denominator leaves a Fraction: still exact
         return x.numerator if x.denominator == 1 else x
 
-    raws = [unwrap(e) for e in elements]
     vals = [table[r] for r in raws]
     get = table.get
     best, witness = 0, ()
@@ -309,11 +325,8 @@ def _fp_factor_word(spec, lam, g) -> FreeWord:
     """Unwrap a one-syllable free-product element to its factor word."""
     if not spec.in_subgroup(g, lam):
         raise DomainError(f"{g} is not in the factor {lam}")
-    if g.is_identity():
-        idx = spec.names.index(lam)
-        factor = spec.group.factors[idx]
-        return factor.identity()
-    return g.syllables[0][1]
+    factor = spec.factor(lam)
+    return factor.wrap(g.raw[0][1]) if g.raw else factor.identity()
 
 
 def embed_on_factor(spec, lam: str, q: QuasiCocycle) -> QuasiCocycle:
@@ -582,20 +595,16 @@ def tree_edge_cocycle(spec_or_group, lam: str | None = None, p: int = 2) -> Quas
     module = IndexedLp(group, p=p, tags=tags)
 
     def fn(g):
-        word = unwrap(g)
-        coeffs: dict = {}
-        prefix = factor.identity()
-        for c in word.codes:
-            nxt = prefix * FreeWord(factor, (c,))
-            sym = factor.letter_symbol(c)
-            if c & 1:
-                idxv = (embed(nxt), f"e:{sym}")
-                coeffs[idxv] = coeffs.get(idxv, Fraction(0)) - 1
-            else:
-                idxv = (embed(prefix), f"e:{sym}")
-                coeffs[idxv] = coeffs.get(idxv, Fraction(0)) + 1
-            prefix = nxt
-        return ModuleVector(module, coeffs)
+        # Letter i of the reduced codes crosses the edge labelled by its
+        # generator from the prefix before it (+1), or, for an inverse
+        # letter, from the prefix after it (-1); a reduced word crosses
+        # each edge once.
+        cs = unwrap(g).codes
+        return ModuleVector(module, {
+            (embed(FreeWord(factor, cs[: i + (c & 1)])), f"e:{factor.letter_symbol(c)}"):
+                -1 if c & 1 else 1
+            for i, c in enumerate(cs)
+        })
 
     return QuasiCocycle(
         name,

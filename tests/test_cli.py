@@ -310,6 +310,8 @@ CALIBRATE_CONFIG = {"spec": {"family": "free_rel_cyclic", "gens": ["x", "y"], "w
                     "samples": 4, "element_size": 3}
 SCL_CONFIG = {"spec": BIG_FP_SPEC, "lambda": "A", "h": "x^-1 y^-1 x y",
               "phi": {"kind": "brooks-homogenized", "w": "x y"}}
+SHAPE_BASES = {"calibrate-c": CALIBRATE_CONFIG, "scl-bound": SCL_CONFIG,
+               "extend": {"spec": REL_SPEC, "inputs": [{"kind": "cyclic-homomorphism"}]}}
 
 
 @pytest.mark.parametrize(
@@ -323,13 +325,25 @@ SCL_CONFIG = {"spec": BIG_FP_SPEC, "lambda": "A", "h": "x^-1 y^-1 x y",
         ("scl-bound", "y_gens", 3),
         ("scl-bound", "upper", {"commutators": [["x"]]}),
         ("scl-bound", "upper", {"n": 0, "commutators": []}),
+        ("extend", "evaluate", 3),
+        ("calibrate-c", "element_size", -1),
     ],
 )
 def test_malformed_shapes_exit_2(tmp_path, capsys, command, key, value):
-    base = CALIBRATE_CONFIG if command == "calibrate-c" else SCL_CONFIG
-    code, report = run_cli(tmp_path, command, {**base, key: value})
+    code, report = run_cli(tmp_path, command, {**SHAPE_BASES[command], key: value})
     assert code == 2 and report is None
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [0, [[1], {}], ["A", 2], "AB"])
+@pytest.mark.parametrize("command", ["extend", "separating"])
+def test_malformed_spec_names_exit_2(tmp_path, capsys, command, names):
+    config = {"spec": {**FP_SPEC, "names": names},
+              "inputs": [{"kind": "cyclic-homomorphism", "lambda": "A"}],
+              "pairs": [["1", "a b"]]}
+    code, report = run_cli(tmp_path, command, config)
+    assert code == 2 and report is None
+    assert "names must be one distinct string per factor" in capsys.readouterr().err
 
 
 def test_failed_gate_exits_1(tmp_path):

@@ -319,7 +319,7 @@ def test_carried_steps_are_the_subgroup_elements_of_their_pairs():
 
 # -- telescoped evaluation on closed-form routes ---------------------------------
 
-route_last_edge = geodesics_module.route_last_edge
+last_block = geodesics_module.last_block
 extension_module = importlib.import_module("qcext.extension")
 
 
@@ -413,20 +413,22 @@ def test_telescoping_depends_only_on_family_and_c(monkeypatch):
     assert calls == [F2.parse("x y x")]
 
 
-def test_route_last_edge_is_the_routes_last_step():
+def test_last_block_is_the_routes_last_step():
     for name, spec, radius, _, _ in _telescoping_cases():
         one = spec.identity()
-        assert route_last_edge(spec, one) is None
         for g in ball_domain(spec, radius):
             if g == one:
                 continue
             route = geodesics_module.geodesic_routes(spec, one, g).geodesics[0]
-            p, letter = route_last_edge(spec, g)
+            raw = spec.group.unwrap(g)
+            k, letter = last_block(spec, raw)
+            p = spec.group.wrap(raw[:k])
             assert (p, letter) == (route.vertices()[-2], route.letters[-1]), (name, str(g))
             assert p * letter.elem == g
     rel_xy = FreeRelCyclicSpec(F2, F2.parse("x y"))
-    for ls in _letters(2):
-        assert route_last_edge(rel_xy, F2.word(ls)) is None
+    for ls in _letters(2)[1:]:
+        with pytest.raises(DomainError):
+            last_block(rel_xy, F2.word(ls).codes)
 
 
 def test_long_word_telescopes_without_recursion():
@@ -451,18 +453,49 @@ def test_foreign_elements_raise_mixed_context():
         res.iota(foreign.parse("a c"))
 
 
+def test_equal_groups_share_memo_entries_unequal_groups_raise():
+    # rebuilt groups equal to the spec's share its normal-form memo; groups
+    # with the same normal forms but other symbols are refused
+    _, fp, _, _, brooks_hom = _telescoping_cases()[0]
+    cases = [
+        (REL_X, {"C": half_sign(REL_X)}, FreeGroup(["x", "y"]), FreeGroup(["a", "b"]),
+         "x y^2 x^-1 y", "a b^2 a^-1 b"),
+        (fp, brooks_hom, FreeProduct([FreeGroup(["x", "y"]), FreeGroup(["t"])]),
+         FreeProduct([FreeGroup(["a", "b"]), FreeGroup(["s"])]), "x y t^2 x", "a b s^2 a"),
+    ]
+    for spec, inputs, twin, foreign, text, foreign_text in cases:
+        res = extend(spec, inputs)
+        g = spec.parse(text)
+        want = res.iota(g)
+        calls, fn = [], res.iota._fn
+        res.iota._fn = lambda raw: calls.append(raw) or fn(raw)
+        same = twin.parse(text)
+        assert twin == spec.group and twin is not spec.group
+        assert res.iota(same) is want and res(same) is want
+        assert calls == []
+        other = foreign.parse(foreign_text)
+        assert foreign.unwrap(other) == spec.group.unwrap(g)
+        with pytest.raises(MixedContextError):
+            res.iota(other)
+        assert calls == []
+
+
 def test_fresh_word_walks_its_route_once(monkeypatch):
     calls = []
 
-    def counted(spec, g):
-        calls.append(g)
-        return route_last_edge(spec, g)
+    def counted(spec, raw):
+        calls.append(raw)
+        return last_block(spec, raw)
 
-    monkeypatch.setattr(extension_module, "route_last_edge", counted)
+    monkeypatch.setattr(extension_module, "last_block", counted)
     res = extend(REL_X, {"C": half_sign(REL_X)})
     g = F2.parse("x y") ** 50  # 100 blocks
+    assert not res.iota._memo
     assert res.iota(g).scalar() == 25
     assert len(calls) == 100
+    # the memo is keyed by normal form: one key per block, g's codes and
+    # each of their nonempty prefixes
+    assert set(res.iota._memo) == {g.codes[:k] for k in range(1, 101)}
     # every prefix is memoized, so a one-block extension reads one block
     calls.clear()
     res.iota(g * F2.parse("x"))
@@ -499,24 +532,24 @@ def test_one_block_extension_probes_its_parent_once():
     for spec, inputs, g, tail in cases:
         res = extend(spec, inputs)
         want = res.iota(g) + inputs[spec.lambdas()[0]](tail).act(g)
-        memo = _ProbeCountingMemo(g, res.iota._memo)
+        memo = _ProbeCountingMemo(spec.group.unwrap(g), res.iota._memo)
         res.iota._memo = memo
         assert res.iota(g * tail) == want
         assert memo.probes == 1, spec
 
 
-def test_route_last_edge_builds_each_syllable_letter_once():
+def test_last_block_builds_each_syllable_letter_once():
     _, fp, _, _, _ = _telescoping_cases()[0]
     twin = FreeProductPairSpec(FreeProduct(list(fp.group.factors)), ["A", "B"])
     g, h = fp.parse("x t^2"), fp.parse("y^-1 x t^2")
-    _, letter = route_last_edge(fp, g)
-    _, again = route_last_edge(fp, h)
+    _, letter = last_block(fp, g.raw)
+    _, again = last_block(fp, h.raw)
     assert again is letter and again.elem is letter.elem
     path = geodesics_module.geodesic_routes(fp, fp.identity(), g).geodesics[0]
     assert path.letters[-1] is letter
     # the letters belong to the spec: an equal spec over an equal group builds its own
     assert twin.group == fp.group and twin.group is not fp.group
-    _, own = route_last_edge(twin, g)
+    _, own = last_block(twin, g.raw)
     assert own == letter and own is not letter
 
 

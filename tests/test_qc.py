@@ -437,6 +437,25 @@ def test_defect_ignores_memo_entries_of_another_group():
     assert q.scalar_value(fab.parse("a b")) == 100  # the foreign entry is still there
 
 
+def test_defect_scans_another_groups_elements_apart():
+    # q's group is F(x,y); a scan over F(a,b), whose words have the same
+    # codes, reads only F(a,b) values, and both groups keep their own entries
+    fab = FreeGroup(["a", "b"])
+    counting = brooks(F2, F2.parse("x y"))
+
+    def fn(g):
+        return real_value(100, counting.module) if g.group == fab else counting(g)
+
+    q = QuasiCocycle("two-faced", F2, counting.module, fn)
+    for w in free_ball_words(F2, 2):
+        q(w)
+    est = _assert_matches_reference(q, list(free_ball_words(fab, 2)))
+    assert est.exact_pth_power_max == 100
+    assert q.scalar_value(F2.parse("x y")) == 1
+    assert q.scalar_value(FreeGroup(["x", "y"]).parse("x y")) == 1  # an equal group
+    assert q.scalar_value(fab.parse("a b")) == 100
+
+
 def _count_calls(q) -> list:
     """Wrap q's function; the returned list grows by one per call."""
     calls, fn = [], q._fn
