@@ -211,6 +211,8 @@ def cmd_separating(config: dict, seed: int) -> tuple[dict, int]:
     budget = _budget(config)
     c = config_rational(config, "c")
     lams = config.get("lambdas")
+    if lams is not None:
+        lams = _list(config, "lambdas", "subgroup labels", lambda lam: lam in spec.lambdas())
     rows = []
     for pair in _list(config, "pairs", "[f, g] pairs", _pair):
         f, g = spec.parse(str(pair[0])), spec.parse(str(pair[1]))
@@ -292,6 +294,8 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     factor = spec.factor(lam)
     h = factor.parse(str(_require(config, "h")))
     phi_cfg = _require(config, "phi")
+    if not isinstance(phi_cfg, dict):
+        raise ConfigError("phi must be an object")
     kind = _require(phi_cfg, "kind")
     if kind == "brooks-homogenized":
         phi = brooks_homogenized(factor, factor.parse(str(_require(phi_cfg, "w"))))

@@ -33,6 +33,9 @@ the `syllables` view and `str` wrap raw values back.
 Each group's `unwrap`, an `operator.attrgetter` class attribute, reads an
 element's normal form (codes, raw syllables or table index) in C, and
 `wrap` builds the element back; `qc.QuasiCocycle` keys its memo by it.
+`raw_rows(bs)` returns `row` with row(a) == [raw_mul(a, b) for b in bs], which
+makes a Python call only for the pairs that reduce (a finite group reads its
+table row); `qc.defect` takes its products from these rows.
 
 Element equality compares the payload (codes, raw syllables or table index)
 first and the group second, by identity before value.  Element hashes are
@@ -83,6 +86,14 @@ def _parse_token(token: str) -> tuple[str, int]:
     if k == 0:
         raise UnknownGeneratorError(f"zero exponent in token {token!r}")
     return sym, k
+
+
+def _power(x, n: int):
+    """x^n for an element x and any integer n, by repeated multiplication."""
+    out, base = x.group.identity(), x if n >= 0 else x.inverse()
+    for _ in range(abs(n)):
+        out = out * base
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +176,22 @@ class FreeGroup:
     def raw_inv(a: tuple) -> tuple:
         return tuple([c ^ 1 for c in reversed(a)])
 
+    @staticmethod
+    def raw_rows(bs: Sequence[tuple]):
+        """row(a) == [raw_mul(a, b) for b in bs]: concatenation, except on
+        the columns that open with the inverse of a's last code."""
+        opening: dict = {}  # first code, as a 1-tuple -> the columns opening with it
+        for j, b in enumerate(bs):
+            opening.setdefault(b[:1], []).append(j)
+
+        def row(a: tuple) -> list:
+            out = list(map(a.__add__, bs))
+            for j in opening.get((a[-1] ^ 1,), ()) if a else ():
+                out[j] = FreeGroup.raw_mul(a, bs[j])
+            return out
+
+        return row
+
     unwrap = attrgetter("codes")  # the normal form of a word
 
     def wrap(self, raw: tuple) -> FreeWord:
@@ -224,14 +251,7 @@ class FreeWord:
     def inverse(self) -> FreeWord:
         return FreeWord(self.group, FreeGroup.raw_inv(self.codes))
 
-    def __pow__(self, n: int) -> FreeWord:
-        if n == 0:
-            return self.group.identity()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+    __pow__ = _power
 
     def syllables(self) -> list[tuple[str, int]]:
         """Run-length form [(symbol, exponent), ...]."""
@@ -242,12 +262,7 @@ class FreeWord:
         return out
 
     def __str__(self):
-        if not self.codes:
-            return "1"
-        parts = []
-        for sym, k in self.syllables():
-            parts.append(sym if k == 1 else f"{sym}^{k}")
-        return " ".join(parts)
+        return " ".join([sym if k == 1 else f"{sym}^{k}" for sym, k in self.syllables()]) or "1"
 
     def __repr__(self):
         return f"<{self}>"
@@ -294,12 +309,7 @@ class FiniteElement:
     def inverse(self) -> FiniteElement:
         return FiniteElement(self.group, self.group._inverse[self.index])
 
-    def __pow__(self, n: int) -> FiniteElement:
-        out = self.group.identity()
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+    __pow__ = _power
 
     def is_identity(self) -> bool:
         return self.index == 0
@@ -390,6 +400,11 @@ class FiniteTableGroup:
     def raw_inv(self, a: int) -> int:
         return self._inverse[a]
 
+    def raw_rows(self, bs: Sequence[int]):
+        """row(a) == [raw_mul(a, b) for b in bs], read off the table."""
+        table = self.table
+        return lambda a: list(map(table[a].__getitem__, bs))
+
     unwrap = attrgetter("index")
 
     def wrap(self, raw: int) -> FiniteElement:
@@ -417,10 +432,10 @@ class FreeProduct:
     """Free product of a sequence of factor groups.
 
     Factors may be FreeGroup or FiniteTableGroup instances (anything with the
-    raw_mul/raw_inv/wrap/unwrap/symbols/raw_token protocol, whose raw
-    identity is falsy).  The product speaks raw_mul/raw_inv/wrap/unwrap
-    too, on normal forms (syllable tuples), so code that runs on raw
-    values, such as `qc.defect`, covers every group here.
+    raw_mul/raw_rows/raw_inv/wrap/unwrap/symbols/raw_token protocol, whose
+    raw identity is falsy).  The product speaks raw_mul/raw_rows/raw_inv/
+    wrap/unwrap too, on normal forms (syllable tuples), so code that runs on
+    raw values, such as `qc.defect`, covers every group here.
     Symbols must not collide across factors, so parsing and printing are
     unambiguous; a collision raises DomainError.
     """
@@ -488,6 +503,30 @@ class FreeProduct:
         factors = self.factors
         return tuple([(i, factors[i].raw_inv(x)) for i, x in a[::-1]])
 
+    def raw_rows(self, bs: Sequence[tuple]):
+        """row(a) == [raw_mul(a, b) for b in bs]: concatenation, but a column
+        that opens in a's last factor merges the facing syllables through
+        that factor's rows, and calls raw_mul only when they cancel."""
+        opening: dict = {}  # factor index -> the columns that open in it
+        for j, b in enumerate(bs):
+            opening.setdefault(b[0][0] if b else -1, []).append(j)
+        facing = {  # factor index -> (its columns, their merges, their tails)
+            i: (cols, self.factors[i].raw_rows([bs[j][0][1] for j in cols]),
+                [bs[j][1:] for j in cols])
+            for i, cols in opening.items() if i >= 0
+        }
+
+        def row(a: tuple) -> list:
+            out = list(map(a.__add__, bs))
+            if a and a[-1][0] in facing:
+                (i, x), head = a[-1], a[:-1]
+                cols, merges, tails = facing[i]
+                for j, c, tail in zip(cols, merges(x), tails):
+                    out[j] = head + ((i, c),) + tail if c else self.raw_mul(a, bs[j])
+            return out
+
+        return row
+
     unwrap = attrgetter("raw")
 
     def wrap(self, raw: tuple) -> FreeProductElement:
@@ -534,12 +573,7 @@ class FreeProductElement:
     def inverse(self) -> FreeProductElement:
         return FreeProductElement(self.group, self.group.raw_inv(self.raw))
 
-    def __pow__(self, n: int) -> FreeProductElement:
-        out = self.group.identity()
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+    __pow__ = _power
 
     def __str__(self):
         if not self.raw:

@@ -4,8 +4,8 @@ A quasi-cocycle assigns to each group element a vector in an isometric
 module; its defect is sup ||q(fg) - q(f) - f.q(g)||.  Empirical defect
 scans (DefectEstimate) keep the exact p-th power of the largest violation
 and a witness pair; certificates (CertifiedBound) are exact rationals with
-a provenance tag and never come from empirical sups.  A scan multiplies
-normal forms through the group's raw protocol and reads known values from
+a provenance tag and never come from empirical sups.  A scan takes its
+products row by row from the group's `raw_rows` and reads known values from
 q's memo by normal form; over scalar (TrivialReals) values it is exact
 integer arithmetic over one common denominator, and over IndexedLp it sums
 exact vectors pair by pair.
@@ -221,23 +221,22 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     """Scan ||q(fg) - q(f) - f.q(g)|| over elements x elements and keep the
     exact maximum p-th power with its first witness in row-major order.
 
-    The scan runs on normal forms: every element must lie in one group
-    (MixedContextError otherwise), is unwrapped once, and each pair's
-    product is that group's `raw_mul` of the two raw values, so no product
-    element is built or hashed.  Products are looked up in a table from
-    normal form to value.  When the scan's group is q's group, or equal to
-    it, the table starts as a copy of q's memo as it stands, which is keyed
-    by normal form already; over any other group, whose values q keeps
-    apart, it starts with the scanned elements.  A product missing from the
-    table is wrapped once and evaluated through q (and so memoized), in
-    row-major order.
+    The scan runs on normal forms.  Every element must lie in one group
+    (MixedContextError otherwise) and is unwrapped once; the group's
+    `raw_rows` gives each row's products, so no product element is built or
+    hashed and only a product that reduces costs a Python call.  Products
+    are looked up in a table from normal form to value, seeded from q's
+    memo (keyed by normal form already) when the scan's group is q's or
+    equal to it, else from the scanned elements, whose values q keeps apart.
+    A product missing from the table is wrapped once and evaluated through
+    q (and so memoized), in row-major order.
 
-    Over TrivialReals (p = 1) the pass is integer arithmetic: the table
-    holds each distinct value once, scaled to an integer over the common
-    denominator of the seeded values, and the maximum is divided back at
-    the end.  A value first evaluated during the scan whose denominator is
-    new stays a Fraction, so the pass stays exact.  Over IndexedLp each
-    pair sums exact vectors.
+    Over TrivialReals (p = 1) the pass is integer arithmetic: the seed reads
+    each value once and scales it to an integer over the common denominator
+    (a new denominator rescales the entries so far), and the maximum is
+    divided back at the end.  A value first evaluated during the scan whose
+    denominator is new stays a Fraction, so the pass stays exact.  Over
+    IndexedLp each pair sums exact vectors.
     """
     elements = list(elements)
     n = len(elements)
@@ -247,15 +246,19 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
             raise MixedContextError("defect scan over elements of different groups")
     values = [q(e) for e in elements]
     scalar = isinstance(q.module, TrivialReals)
-    unwrap, raw_mul = group.unwrap, group.raw_mul
-    raws = [unwrap(e) for e in elements]
+    raws = list(map(group.unwrap, elements))
     # normal form -> value: over TrivialReals, denom * value, an int
     known = q._memo if group is q.group or group == q.group else dict(zip(raws, values))
-    table = {r: v.scalar() for r, v in known.items()} if scalar else dict(known)
-    denom = lcm(*{x.denominator for x in table.values()}) if scalar else 1
+    table, denom = {} if scalar else dict(known), 1
     if scalar:
-        for r, x in table.items():
-            table[r] = x.numerator * (denom // x.denominator)
+        for r, v in known.items():
+            num, d = v.scalar().as_integer_ratio()
+            if denom % d:
+                k = lcm(denom, d) // denom
+                for key in table:
+                    table[key] *= k
+                denom *= k
+            table[r] = num * (denom // d)
 
     def evaluate(ab):
         v = q(group.wrap(ab))
@@ -265,15 +268,16 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
         return x.numerator if x.denominator == 1 else x
 
     vals = [table[r] for r in raws]
-    get = table.get
+    get, rows = table.get, group.raw_rows(raws)
     best, witness = 0, ()
     for f, a, vf in zip(elements, raws, vals):
-        row = [get(raw_mul(a, b)) for b in raws]  # the values at f e_j
+        products = rows(a)  # the normal forms of f e_j
+        row = list(map(get, products))
         if None in row:
-            for j, b in enumerate(raws):
-                if row[j] is None:
-                    ab = raw_mul(a, b)
-                    v = get(ab)
+            for j, v in enumerate(row):
+                if v is None:
+                    ab = products[j]
+                    v = get(ab)  # an earlier miss of this row may have filled it
                     if v is None:
                         v = table[ab] = evaluate(ab)
                     row[j] = v

@@ -125,10 +125,7 @@ class SeparatingCosets:
 
 
 def _resolve_c(spec, c_value) -> Fraction:
-    if c_value is not None:
-        c = as_fraction(c_value)
-    else:
-        c = spec.theoretical_c()
+    c = spec.theoretical_c() if c_value is None else as_fraction(c_value)
     if c is None:
         raise DomainError(
             "no polygon constant available: supply c_value (calibrate first)"
@@ -159,6 +156,7 @@ def separation_report(
     geo_needed = [lam for lam in lams if lam not in trivial_lams]
     if geo is None and geo_needed and f != g:
         geo = _routes(spec, f, u, budget)  # the routes of geodesic_routes, from u
+    three_c = 3 * c if geo_needed and f != g else None  # once per report that walks geo
 
     for lam in lams:
         if lam in trivial_lams:
@@ -182,7 +180,7 @@ def separation_report(
                 steps=(), trivial=False, exhaustive=True, c_value=c,
             )
             continue
-        out[lam] = _essential_cosets(spec, f, g, lam, c, geo, budget)
+        out[lam] = _essential_cosets(spec, f, g, lam, c, three_c, geo, budget)
     return out
 
 
@@ -197,8 +195,7 @@ class _CosetTally:
     band: RelativeDistance | None = None
 
 
-def _essential_cosets(spec, f, g, lam, c: Fraction, geo: GeodesicSet, budget) -> SeparatingCosets:
-    three_c = 3 * c
+def _essential_cosets(spec, f, g, lam, c, three_c, geo: GeodesicSet, budget) -> SeparatingCosets:
     # Along a path verts[i]^-1 verts[i+1] is the letter's element, and the
     # letter says which subgroup holds it.  Everything below depends on the
     # vertices alone, so a path with the same vertex tuple as the path

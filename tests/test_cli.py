@@ -346,6 +346,33 @@ def test_malformed_spec_names_exit_2(tmp_path, capsys, command, names):
     assert "names must be one distinct string per factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("separating", "lambdas", ["Z"]),
+        ("separating", "lambdas", 3),
+        ("scl-bound", "phi", 3),
+        ("scl-bound", "phi", None),
+        ("scl-bound", "phi", "zz"),
+        ("scl-bound", "phi", [1]),
+    ],
+)
+def test_malformed_lambdas_and_phi_exit_2_naming_the_key(tmp_path, capsys, command, key, value):
+    base = {"separating": {"spec": FP_SPEC, "pairs": [["1", "a b a^2"]]},
+            "scl-bound": SCL_CONFIG}[command]
+    code, report = run_cli(tmp_path, command, {**base, key: value})
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_separating_command_reports_the_requested_labels(tmp_path):
+    config = {"spec": FP_SPEC, "pairs": [["1", "a b a^2"]], "lambdas": ["B"]}
+    code, report = run_cli(tmp_path, "separating", config)
+    assert code == 0
+    assert [row["lambda"] for row in report["results"]["reports"]] == ["B"]
+
+
 def test_failed_gate_exits_1(tmp_path):
     config = {"spec": REL_SPEC, "inputs": [{"kind": "step"}], "mode": "strict"}
     code, report = run_cli(tmp_path, "extend", config)

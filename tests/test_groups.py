@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,83 @@ def test_free_product_raw_protocol_matches_elements():
             ab = G.raw_mul(a, G.unwrap(g))
             assert ab == (f * g).raw
             assert ab == _reduce_syllables(G.factors, f.syllables + g.syllables)
+
+
+def _s3() -> FiniteTableGroup:
+    """The symmetric group on three points; nonabelian, so a swapped row
+    and column would show."""
+    perms = list(permutations(range(3)))  # the identity first
+    table = [[perms.index(tuple(p[q[k]] for k in range(3))) for q in perms] for p in perms]
+    return FiniteTableGroup(["1", "p1", "p2", "p3", "p4", "p5"], table)
+
+
+S3 = _s3()
+Z2 = FiniteTableGroup(["1", "s"], [[0, 1], [1, 0]])
+FXY_T = FreeProduct([F2, FreeGroup(["t"])])
+Z2_T = FreeProduct([Z2, FreeGroup(["t"])])
+
+
+def _tokens(G, symbols, max_size=6):
+    """Elements of G as products of up to max_size signed tokens."""
+    tokens = [f"{s}{k}" for s in symbols for k in ("", "^-1")]
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map(
+        lambda ts: G.parse(" ".join(ts) or "1"))
+
+
+def _assert_rows(G, rows, cols, reduce):
+    """Every entry of G.raw_rows equals raw_mul and an independent product,
+    on columns with the identity and a repeat added."""
+    cols = cols + [G.identity()] + cols[:1]
+    bs = [G.unwrap(g) for g in cols]
+    row = G.raw_rows(bs)
+    for f in rows + [G.identity()]:
+        a = G.unwrap(f)
+        got = row(a)
+        assert got == [G.raw_mul(a, b) for b in bs]
+        assert got == [reduce(f, g) for g in cols]
+
+
+def _fp_reduce(f, g):
+    return _reduce_syllables(f.group.factors, f.syllables + g.syllables)
+
+
+@given(st.lists(words(), max_size=4), st.lists(words(), max_size=6))
+def test_free_group_rows_match_raw_mul(rows, cols):
+    _assert_rows(F2, rows, cols, lambda f, g: F2.word(f.letters + g.letters).codes)
+
+
+@given(st.lists(st.sampled_from(S3.elements()), max_size=4),
+       st.lists(st.sampled_from(S3.elements()), max_size=6))
+def test_finite_table_rows_match_raw_mul(rows, cols):
+    _assert_rows(S3, rows, cols, lambda f, g: (f * g).index)
+
+
+@given(st.lists(_tokens(FXY_T, "xyt"), max_size=4),
+       st.lists(_tokens(FXY_T, "xyt"), max_size=6))
+def test_free_product_rows_match_raw_mul(rows, cols):
+    _assert_rows(FXY_T, rows, cols, _fp_reduce)
+
+
+@given(st.lists(_tokens(Z2_T, "st"), max_size=4),
+       st.lists(_tokens(Z2_T, "st"), max_size=6))
+def test_finite_factor_rows_match_raw_mul(rows, cols):
+    _assert_rows(Z2_T, rows, cols, _fp_reduce)
+
+
+def test_rows_follow_full_cancellation_chains():
+    # (x t)(t^-1 x^-1 y) = y: the t syllables cancel, then the x ones
+    parse = FXY_T.parse
+    rows = [parse("x t"), parse("y x t^2"), parse("t^-1")]
+    cols = [parse(w) for w in ("t^-1 x^-1 y", "t^-1", "t^-1 x^-1", "t^-2 x^-1 y^-1 t",
+                               "t x", "t^-1 x^-1 y")]
+    _assert_rows(FXY_T, rows, cols, _fp_reduce)
+    assert FXY_T.raw_rows([parse("t^-1 x^-1 y").raw])(parse("x t").raw) == [parse("y").raw]
+    # (t s)(s t^-1) = 1 in Z/2 * <t>: a finite merge to the identity
+    parse = Z2_T.parse
+    rows = [parse("t s"), parse("s t s"), parse("s")]
+    cols = [parse(w) for w in ("s t^-1", "s t^-1 s", "s", "t", "s t^-1 s t")]
+    _assert_rows(Z2_T, rows, cols, _fp_reduce)
+    assert Z2_T.raw_rows([parse("s t^-1").raw])(parse("t s").raw) == [()]
 
 
 def test_free_product_parse_rejects_foreign_symbols():

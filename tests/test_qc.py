@@ -26,6 +26,7 @@ from qcext import (
     extend,
     free_ball_words,
     real_value,
+    seeded_rng,
     step_quasimorphism,
     tree_edge_cocycle,
 )
@@ -480,3 +481,54 @@ def test_warm_scan_calls_the_function_zero_times():
     calls = _count_calls(ext.iota)
     defect(ext.iota, ball_domain(spec, 2))
     assert len(calls) == len(set(calls)) > 0
+
+
+def test_cold_scan_evaluates_each_missing_product_once_in_row_major_order():
+    spec, ext = _fp_brooks()
+    ball = ball_domain(spec, 2)
+    calls = _count_calls(ext.iota)  # iota's function takes normal forms
+    defect(ext.iota, ball)
+    G = spec.group
+    raws = [G.unwrap(e) for e in ball]
+    order = raws + [G.raw_mul(a, b) for a in raws for b in raws]
+    first: dict = {}
+    for k, r in enumerate(order):
+        first.setdefault(r, k)
+    positions = [first[r] for r in calls]
+    assert len(calls) == len(set(calls)) > len(ball)
+    assert positions == sorted(positions)
+    assert all(r in ext.iota._memo for r in order)
+
+
+@pytest.mark.parametrize("build", [_fp_brooks, _z2_times_t], ids=["fp-brooks", "z2-times-t"])
+def test_scan_over_the_defect_commands_elements_cold_and_warm(build):
+    # the `defect` command's shape: a ball, then random words, which repeat
+    # elements and hold the identity; here both are forced as well
+    spec, ext = build()
+    rng = seeded_rng(3, "test:defect")
+    elements = ball_domain(spec, 2) + [spec.random_element(rng, 4) for _ in range(30)]
+    elements += [spec.identity(), elements[4], elements[-1], elements[0], spec.identity()]
+    assert len(set(elements)) < len(elements)
+    cold = defect(ext.iota, elements)
+    warm = _assert_matches_reference(ext.iota, elements)
+    assert cold == warm
+
+
+def test_warm_scan_calls_raw_mul_only_where_facing_syllables_cancel(monkeypatch):
+    spec, ext = _fp_brooks()
+    ball = ball_domain(spec, 3)
+    _reference_scan(ext.iota, ball)
+    G = spec.group
+    calls, raw_mul = [], FreeProduct.raw_mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return raw_mul(self, a, b)
+
+    monkeypatch.setattr(FreeProduct, "raw_mul", counted)
+    assert defect(ext.iota, ball).exact_pth_power_max == 1
+    cancelling = [(f.raw, g.raw) for f in ball for g in ball
+                  if f.raw and g.raw and f.syllables[-1][0] == g.syllables[0][0]
+                  and (f.syllables[-1][1] * g.syllables[0][1]).is_identity()]
+    assert calls == cancelling
+    assert 0 < len(calls) < len(ball) ** 2 // 10
