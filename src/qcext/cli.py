@@ -5,6 +5,9 @@ Every subcommand reads a JSON config, runs deterministically for a fixed
 byte-identical across reruns; wall-clock timings live outside it.  Exit
 codes: 0 success, 1 a check or verification failed, 2 config/schema
 problems, 3 a search budget ran out (a partial report is still written).
+A config word that does not parse, a `radius` outside 0..MAX_RADIUS and a
+`samples` or `restriction_samples` outside 0..MAX_SAMPLES exit 2 and name
+the key; the bounds keep every run finite.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from fractions import Fraction
 from . import __version__
 from .coeffs import ModuleVector, TrivialReals
 from .embedding import SearchBudget, calibrate_c, config_rational, seeded_rng, spec_from_json
-from .errors import BudgetExhaustedError, ConfigError, QcextError
+from .errors import BudgetExhaustedError, ConfigError, QcextError, UnknownGeneratorError
 from .extension import asnec_demo, extend, extend_general, restriction_check
+from .groups import FreeGroup
 from .qc import (
     QuasiCocycle,
     antisymmetrize,
@@ -39,6 +43,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+
+MAX_RADIUS = 4  # the largest ball radius a config may ask for
+MAX_SAMPLES = 10_000  # the largest sample count a config may ask for
 
 
 def tag(value, provenance: str) -> dict:
@@ -89,15 +96,28 @@ def _budget(config: dict) -> SearchBudget | None:
     return SearchBudget.from_json(config["budget"])
 
 
-def _int(data: dict, key: str, default: int) -> int:
-    """data[key], or default, as an integer: an int or a decimal string."""
+def _int(data: dict, key: str, default: int, top: int | None = None) -> int:
+    """data[key], or default, as an integer: an int or a decimal string,
+    from 0 to `top` when that is given."""
     raw = data.get(key, default)
     if not isinstance(raw, bool) and isinstance(raw, (int, str)):
         try:
-            return int(raw)
+            n = int(raw)
         except ValueError:
             pass
+        else:
+            if top is None or 0 <= n <= top:
+                return n
+            raise ConfigError(f"{key} must be an integer from 0 to {top}, not {n}")
     raise ConfigError(f"{key} must be an integer, not {raw!r}")
+
+
+def _word(parser, text, key: str):
+    """parser.parse(str(text)), a ConfigError naming the key if it fails."""
+    try:
+        return parser.parse(str(text))
+    except UnknownGeneratorError as e:
+        raise ConfigError(f"bad {key}: {e}") from None
 
 
 def _list(data: dict, key: str, what: str, item=lambda x: True, default=None) -> list:
@@ -144,10 +164,10 @@ def build_input(spec, item: dict) -> tuple[str, QuasiCocycle]:
             raise ConfigError("the step function lives on a relative cyclic subgroup")
         q = step_quasimorphism(spec)
     elif kind in ("brooks", "brooks-homogenized"):
-        if spec.family != "free_product":
+        factor = spec.factor(lam) if spec.family == "free_product" else None
+        if not isinstance(factor, FreeGroup):
             raise ConfigError(f"{kind} inputs target a free factor")
-        factor = spec.factor(lam)
-        w = factor.parse(str(_require(item, "w")))
+        w = _word(factor, _require(item, "w"), "inputs w")
         make = brooks if kind == "brooks" else brooks_homogenized
         q = embed_on_factor(spec, lam, make(factor, w))
     elif kind == "tree-edge":
@@ -193,9 +213,9 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
 
     values = []
     for text in _list(config, "evaluate", "words", default=[]):
-        g = spec.parse(str(text))
+        g = _word(spec, text, "evaluate")
         values.append({"g": str(g), "iota": vector_json(result.iota(g))})
-    samples = _int(config, "restriction_samples", 20)
+    samples = _int(config, "restriction_samples", 20, MAX_SAMPLES)
     restrictions = [restriction_check(result, lam, samples=samples, seed=seed)
                     for lam in sorted(inputs)]
     payload = result.to_json()
@@ -215,7 +235,7 @@ def cmd_separating(config: dict, seed: int) -> tuple[dict, int]:
         lams = _list(config, "lambdas", "subgroup labels", lambda lam: lam in spec.lambdas())
     rows = []
     for pair in _list(config, "pairs", "[f, g] pairs", _pair):
-        f, g = spec.parse(str(pair[0])), spec.parse(str(pair[1]))
+        f, g = _word(spec, pair[0], "pairs"), _word(spec, pair[1], "pairs")
         report = separation_report(spec, f, g, c_value=c, budget=budget, lams=lams)
         for lam in sorted(report):
             sep = report[lam]
@@ -231,8 +251,8 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
     budget = _budget(config)
     result = extend(spec, inputs, c_value=config_rational(config, "c"), budget=budget, seed=seed)
 
-    radius = _int(config, "radius", 2)
-    samples = _int(config, "samples", 120)
+    radius = _int(config, "radius", 2, MAX_RADIUS)
+    samples = _int(config, "samples", 120, MAX_SAMPLES)
     elements = ball_domain(spec, radius)
     rng = seeded_rng(seed, "cli:defect")
     for _ in range(samples):
@@ -259,7 +279,7 @@ def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
         raise ConfigError("element_size must be nonnegative")
     report = calibrate_c(
         spec,
-        samples=_int(config, "samples", 200),
+        samples=_int(config, "samples", 200, MAX_SAMPLES),
         ngon_sizes=tuple(sizes),
         seed=seed,
         element_size=element_size,
@@ -292,20 +312,22 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     if lam not in spec.lambdas():
         raise ConfigError(f"unknown subgroup label {lam!r}")
     factor = spec.factor(lam)
-    h = factor.parse(str(_require(config, "h")))
+    if not isinstance(factor, FreeGroup):
+        raise ConfigError("scl-bound transports from a free factor")
+    h = _word(factor, _require(config, "h"), "h")
     phi_cfg = _require(config, "phi")
     if not isinstance(phi_cfg, dict):
         raise ConfigError("phi must be an object")
     kind = _require(phi_cfg, "kind")
     if kind == "brooks-homogenized":
-        phi = brooks_homogenized(factor, factor.parse(str(_require(phi_cfg, "w"))))
+        phi = brooks_homogenized(factor, _word(factor, _require(phi_cfg, "w"), "phi w"))
     elif kind == "cyclic-homomorphism":
         raise ConfigError("a homomorphism vanishes on [H,H]; nothing to transport")
     else:
         raise ConfigError(f"unsupported phi kind {kind!r}")
     y_gens = config.get("y_gens")
     if y_gens is not None:
-        y_gens = [factor.parse(str(t)) for t in _list(config, "y_gens", "words")]
+        y_gens = [_word(factor, t, "y_gens") for t in _list(config, "y_gens", "words")]
     upper_cfg = config.get("upper")
     if upper_cfg is not None:
         if not isinstance(upper_cfg, dict):
@@ -326,7 +348,8 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     )
     bound = report["bound"]
     if upper_cfg is not None:
-        comms = [(spec.parse(str(u)), spec.parse(str(v))) for u, v in pairs]
+        comms = [(_word(spec, u, "upper commutators"), _word(spec, v, "upper commutators"))
+                 for u, v in pairs]
         target = spec.group.syllable(spec.names.index(lam), h)
         count = cl_upper(spec.group, target**n, comms)
         report["upper"] = {
@@ -370,8 +393,8 @@ def cmd_verify(config: dict, seed: int) -> tuple[dict, int]:
         c_value=config_rational(config, "c"),
         budget=_budget(config),
         seed=seed,
-        samples=_int(config, "samples", 500),
-        radius=_int(config, "radius", 3),
+        samples=_int(config, "samples", 500, MAX_SAMPLES),
+        radius=_int(config, "radius", 3, MAX_RADIUS),
     )
     return payload, EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 

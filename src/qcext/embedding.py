@@ -38,6 +38,7 @@ from .groups import (
     FreeProduct,
     FreeProductElement,
     FreeWord,
+    _slot_init,
     as_fraction,
     cyclic_group,
     is_cyclically_reduced,
@@ -162,7 +163,8 @@ FINITE = "finite"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class RelativeDistance:
     """Relative metric value with its epistemic status.
 
@@ -289,7 +291,7 @@ class FreeProductPairSpec:
 
     def random_element(self, rng: random.Random, max_syllables: int = 4):
         n = rng.randint(0, max_syllables)
-        out = self.group.identity()
+        raw = ()  # the normal form, one nontrivial syllable at a time
         prev = -1
         for _ in range(n):
             choices = [i for i in range(len(self.group.factors)) if i != prev]
@@ -297,9 +299,9 @@ class FreeProductPairSpec:
             h = self.random_factor_element(i, rng)
             if h is None:
                 continue
-            out = out * self.group.syllable(i, h)
+            raw = self.group.raw_mul(raw, ((i, self.group.factors[i].unwrap(h)),))
             prev = i
-        return out
+        return self.group.wrap(raw)
 
     def random_factor_element(self, idx: int, rng: random.Random, size: int = 3):
         """A nontrivial element of the chosen factor, or None if impossible."""

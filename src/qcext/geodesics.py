@@ -33,7 +33,8 @@ is the length of the route, so a basis w builds one path rather than
 every spelling; `distance_map` counts the blocks of a ball's words, one
 block opened per letter unless it extends a run of the basis letter.
 The engines work on u = f^-1 g, which `separation_report` computes once
-and hands to the route dispatch.
+and hands to the route dispatch.  u and a path's vertices are products of
+normal forms (`raw_mul`, then `wrap`): no element `*` runs along a path.
 
 The closed-form routes are prefix-closed.  The route from 1 to g spells g
 block by block: on free products a block is a syllable, on a basis w a
@@ -75,7 +76,7 @@ from typing import Iterable, Sequence
 
 from .embedding import SearchBudget, XLetter
 from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeodesicError
-from .groups import FreeGroup, FreeWord, _trusted_words
+from .groups import FreeGroup, FreeWord, _left_quotient, _slot_init, _trusted_words
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -97,10 +98,18 @@ class CayleyPath:
         self.letters = tuple(self.letters)
 
     def vertices(self) -> tuple:
+        """The vertices traced from the origin (letters of its group only)."""
         if self._verts is None:
+            group = self.origin.group
+            mul, unwrap, wrap = group.raw_mul, group.unwrap, group.wrap
+            raw = unwrap(self.origin)
             out = [self.origin]
             for letter in self.letters:
-                out.append(out[-1] * letter.elem)
+                elem = letter.elem
+                if elem.group is not group and elem.group != group:
+                    raise MixedContextError("a letter from a different group")
+                raw = mul(raw, unwrap(elem))
+                out.append(wrap(raw))
             self._verts = tuple(out)
         return self._verts
 
@@ -111,7 +120,8 @@ class CayleyPath:
         return f"CayleyPath({self.origin}, {self.dump()})"
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class GeodesicSet:
     """Result of a geodesic query between two fixed vertices.
 
@@ -129,13 +139,13 @@ class GeodesicSet:
 def geodesics(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
     """All geodesics from f to g known to the family engine, in the
     deterministic letter order (ambient letters before subgroup letters)."""
-    return _listing(spec, f, f.inverse() * g, budget or spec.budget)
+    return _listing(spec, f, _left_quotient(f, g), budget or spec.budget)
 
 
 def geodesic_routes(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
     """One geodesic from f to g per distinct vertex tuple, each spelled as
     `geodesics` spells its first path with those vertices."""
-    return _routes(spec, f, f.inverse() * g, budget)
+    return _routes(spec, f, _left_quotient(f, g), budget)
 
 
 def _listing(spec, f, u, budget: SearchBudget) -> GeodesicSet:
@@ -151,11 +161,7 @@ def _routes(spec, f, u, budget: SearchBudget | None) -> GeodesicSet:
     """`geodesic_routes` from f to f*u, for a caller that already holds u."""
     if spec.family != "free_product" and spec.is_basis:
         letters, verts = _basis_route(spec, f, u)
-        return GeodesicSet(
-            distance=len(letters),
-            geodesics=(CayleyPath(f, letters, verts),),
-            exhaustive=True,
-        )
+        return GeodesicSet(len(letters), (CayleyPath(f, letters, verts),), True)
     return _listing(spec, f, u, budget or spec.budget)
 
 
@@ -195,11 +201,7 @@ def _free_product_geodesics(spec, f, u) -> GeodesicSet:
     letters = [spec.syllable_letter(syl) for syl in u.raw]
     # Syllable normal form is the unique geodesic spelling: every edge moves
     # within one factor, and merging or splitting syllables only lengthens.
-    return GeodesicSet(
-        distance=len(letters),
-        geodesics=(CayleyPath(f, letters),),
-        exhaustive=True,
-    )
+    return GeodesicSet(len(letters), (CayleyPath(f, letters),), True)
 
 
 def _block_start(cs, j: int, wgen: int) -> int:
@@ -483,13 +485,13 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
 
 def coset_visits(spec, path: CayleyPath, lam: str, rep) -> list[tuple[int, int]]:
     """Maximal vertex-index runs of the path inside the coset rep*H_lam."""
-    verts = path.vertices()
+    inside = [spec.coset_rep(v, lam) == rep for v in path.vertices()]
     runs: list[tuple[int, int]] = []
     i = 0
-    while i < len(verts):
-        if spec.coset_rep(verts[i], lam) == rep:
+    while i < len(inside):
+        if inside[i]:
             j = i
-            while j + 1 < len(verts) and spec.coset_rep(verts[j + 1], lam) == rep:
+            while j + 1 < len(inside) and inside[j + 1]:
                 j += 1
             runs.append((i, j))
             i = j + 1

@@ -16,22 +16,25 @@ the subgroup it lies in (an HLetter its own label's, an ambient letter the
 basis w's when it is w), so separation makes no membership test.  Each
 entrance/exit pair (u, v) carries its step h = u^-1 v: the edge letter's
 element, or f^-1 g in the trivial clause.  The bicombing reads q(h) off the
-step, so nothing downstream multiplies or tests membership again.  Cosets
-are keyed by their representative element and entrance/exit pairs by (u, v)
-elements, never by printed strings, and each distinct edge asks for its
-coset representative once per query.
+step, so nothing downstream multiplies or tests membership again.  The walk
+keys cosets and entrance/exit pairs by the normal forms of their
+representative and of (u, v), never by printed strings, so every probe
+hashes in C, and each distinct entrance u asks for its coset representative
+once per query.
 
 `separation_report` builds the one object every later stage reads: per
 subgroup label, the separating cosets S(f, g) with their entrance/exit
-pairs.  The combed bicombing sums over one such report, and the triangle
-partition reads S(f, g), S(f, h) and S(h, g) from a caller's report
-function, so a caller that caches reports separates each pair once.
+pairs, built in one pass over the walk's tallies.  The combed bicombing
+sums over one such report, and the triangle partition reads S(f, g),
+S(f, h) and S(h, g) from a caller's report function, so a caller that
+caches reports separates each pair once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .embedding import FINITE, RelativeDistance, _dist_gt
 from .errors import (
@@ -41,10 +44,11 @@ from .errors import (
     PartitionNotFoundError,
 )
 from .geodesics import CayleyPath, GeodesicSet, _routes, geodesic_routes, penetration
-from .groups import as_fraction
+from .groups import _left_quotient, _slot_init, as_fraction
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Coset:
     """Left coset rep * H_lam with a canonical representative."""
 
@@ -76,7 +80,8 @@ class BandExclusion:
         }
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class SeparatingCosets:
     """Ordered separating cosets for one pair and one subgroup label."""
 
@@ -144,43 +149,29 @@ def separation_report(
     the geodesics, so by default it walks `geodesic_routes`, one path per
     distinct vertex tuple, shared across labels; pass `geo` to reuse a
     listing computed elsewhere (routes or all geodesics give one report).
+    f^-1 g is one product of normal forms; f and g of different groups
+    raise MixedContextError.
     """
     c = _resolve_c(spec, c_value)
     lams = tuple(lams) if lams is not None else spec.lambdas()
-    out: dict[str, SeparatingCosets] = {}
-    u = f.inverse() * g
-    trivial_lams = []
-    for lam in lams:
-        if f != g and spec.in_subgroup(u, lam):
-            trivial_lams.append(lam)
-    geo_needed = [lam for lam in lams if lam not in trivial_lams]
-    if geo is None and geo_needed and f != g:
+    u = _left_quotient(f, g)
+    if u.is_identity():  # f == g: nothing separates
+        return {lam: SeparatingCosets(f, g, lam, (), (), (), (), False, True, False, (), c)
+                for lam in lams}
+    trivial = [spec.in_subgroup(u, lam) for lam in lams]
+    if geo is None and not all(trivial):
         geo = _routes(spec, f, u, budget)  # the routes of geodesic_routes, from u
-    three_c = 3 * c if geo_needed and f != g else None  # once per report that walks geo
-
-    for lam in lams:
-        if lam in trivial_lams:
-            rep = spec.coset_rep(f, lam)
+    # None when C = 0: every penetration with distinct endpoints is essential
+    three_c = 3 * c if c else None
+    out: dict[str, SeparatingCosets] = {}
+    for lam, in_h in zip(lams, trivial):
+        if in_h:
             out[lam] = SeparatingCosets(
-                f=f,
-                g=g,
-                lam=lam,
-                cosets=(Coset(lam, rep),),
-                distances=(0,),
-                entrance_exits=(((f, g),),),
-                steps=((u,),),
-                trivial=True,
-                exhaustive=True,
-                c_value=c,
+                f, g, lam, (Coset(lam, spec.coset_rep(f, lam)),), (0,), (((f, g),),),
+                ((u,),), True, True, False, (), c,
             )
-            continue
-        if f == g:
-            out[lam] = SeparatingCosets(
-                f=f, g=g, lam=lam, cosets=(), distances=(), entrance_exits=(),
-                steps=(), trivial=False, exhaustive=True, c_value=c,
-            )
-            continue
-        out[lam] = _essential_cosets(spec, f, g, lam, c, three_c, geo, budget)
+        else:
+            out[lam] = _essential_cosets(spec, f, g, lam, c, three_c, geo, budget)
     return out
 
 
@@ -188,8 +179,11 @@ def separation_report(
 class _CosetTally:
     """What the walk over the geodesics learned about one coset."""
 
+    rep: object
     prefix: int  # least edge index at which a geodesic enters the coset
-    pairs: dict = field(default_factory=dict)  # (u, v) -> u^-1 v, first-seen order
+    # per edge (u, v), keyed by its normal forms, in first-seen order:
+    pairs: dict = field(default_factory=dict)  # the pair (u, v)
+    steps: dict = field(default_factory=dict)  # its step u^-1 v
     essential: bool = False
     conditional: bool = False
     band: RelativeDistance | None = None
@@ -200,11 +194,12 @@ def _essential_cosets(spec, f, g, lam, c, three_c, geo: GeodesicSet, budget) -> 
     # letter says which subgroup holds it.  Everything below depends on the
     # vertices alone, so a path with the same vertex tuple as the path
     # before it would replay the same updates and is skipped (all spellings
-    # of a closed-form geodesic share one tuple).
+    # of a closed-form geodesic share one tuple).  The dicts are keyed by
+    # normal forms, so that every probe hashes in C.
+    unwrap = spec.group.unwrap
     prev = None
-    # per distinct edge (u, v): its coset rep, and its width once measured
-    rep_of: dict = {}
-    width_of: dict = {}
+    tally_of: dict = {}  # u of an edge (u, v) -> its coset's tally
+    width_of: dict = {}  # edge (u, v) -> its width, once measured
     info: dict = {}  # coset rep -> _CosetTally, in first-seen order
     for path in geo.geodesics:
         verts = path.vertices()
@@ -214,27 +209,30 @@ def _essential_cosets(spec, f, g, lam, c, three_c, geo: GeodesicSet, budget) -> 
         for i, letter in enumerate(path.letters):
             if letter.lam != lam:
                 continue
-            pair = (verts[i], verts[i + 1])
-            rep = rep_of.get(pair)
-            if rep is None:
-                rep = rep_of[pair] = spec.coset_rep(pair[0], lam)
-            tally = info.get(rep)
+            u, v = verts[i], verts[i + 1]
+            edge = (unwrap(u), unwrap(v))
+            tally = tally_of.get(edge[0])
             if tally is None:
-                tally = info[rep] = _CosetTally(i)
-            elif i < tally.prefix:
+                rep = spec.coset_rep(u, lam)
+                tally = info.get(unwrap(rep))
+                if tally is None:
+                    tally = info[unwrap(rep)] = _CosetTally(rep, i)
+                tally_of[edge[0]] = tally
+            if i < tally.prefix:
                 tally.prefix = i
-            tally.pairs[pair] = letter.elem
+            tally.pairs[edge] = (u, v)
+            tally.steps[edge] = letter.elem
             if tally.essential:
                 continue
-            if three_c == 0:
+            if three_c is None:
                 # positivity of the relative metric: distinct endpoints
                 tally.essential = True
                 continue
-            width = width_of.get(pair)
+            width = width_of.get(edge)
             if width is None:
-                shift = rep.inverse()
-                width = width_of[pair] = spec.rel_distance(
-                    shift * pair[0], shift * pair[1], lam, budget=budget
+                shift = tally.rep.inverse()
+                width = width_of[edge] = spec.rel_distance(
+                    shift * u, shift * v, lam, budget=budget
                 )
             verdict, certain = _dist_gt(width, three_c)
             if verdict:
@@ -243,40 +241,30 @@ def _essential_cosets(spec, f, g, lam, c, three_c, geo: GeodesicSet, budget) -> 
             elif width.status == FINITE and width.value > 0:
                 tally.band = width
 
-    cosets = []
+    rows = []  # per essential coset: (prefix, coset, its pairs, their steps)
     band: list[BandExclusion] = []
     conditional = False
-    for rep, tally in info.items():
-        coset = Coset(lam, rep)
+    for tally in info.values():
         if tally.essential:
-            cosets.append((tally.prefix, coset, tally.pairs))
+            rows.append((tally.prefix, Coset(lam, tally.rep), tuple(tally.pairs.values()),
+                         tuple(tally.steps.values())))
             conditional = conditional or tally.conditional
         elif tally.band is not None:
-            first = next(iter(tally.pairs))
-            band.append(BandExclusion(coset, first[0], first[1], tally.band))
-    cosets.sort(key=lambda t: t[0])
-    dists = tuple(t[0] for t in cosets)
-    if any(a >= b for a, b in zip(dists, dists[1:])):
+            first = next(iter(tally.pairs.values()))
+            band.append(BandExclusion(Coset(lam, tally.rep), first[0], first[1], tally.band))
+    rows.sort(key=itemgetter(0))
+    dists, cosets, entrance_exits, steps = zip(*rows) if rows else ((),) * 4
+    if len(set(dists)) < len(dists):  # sorted, so distinct means strictly increasing
         raise InvariantError(
             f"separating cosets of ({f}, {g}) must sit at strictly increasing distances"
         )
-    if len(cosets) > geo.distance:
+    if len(rows) > geo.distance:
         raise InvariantError(
             f"more separating cosets of ({f}, {g}) than the distance {geo.distance}"
         )
     return SeparatingCosets(
-        f=f,
-        g=g,
-        lam=lam,
-        cosets=tuple(t[1] for t in cosets),
-        distances=dists,
-        entrance_exits=tuple(tuple(t[2]) for t in cosets),
-        steps=tuple(tuple(t[2].values()) for t in cosets),
-        trivial=False,
-        exhaustive=geo.exhaustive,
-        conditional=conditional,
-        band_excluded=tuple(band),
-        c_value=c,
+        f, g, lam, cosets, dists, entrance_exits, steps, False, geo.exhaustive,
+        conditional, tuple(band), c,
     )
 
 

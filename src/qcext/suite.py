@@ -171,18 +171,20 @@ def run_full_suite(
     # penetration and entrance-exit gaps run on the ball pairs + a sample
     # slice, a prefix of all_pairs; `owed` counts the checks each pair has left
     pen_pairs = ball_pairs + sample_pairs[: samples // 5]
-    owed = Counter(pen_pairs)
+    unwrap = spec.group.unwrap
+    owed = Counter((unwrap(f), unwrap(g)) for f, g in pen_pairs)
+    three_c = 3 * c
 
-    # (f, g) -> (distance, separation report): each ordered pair's geodesics
-    # are enumerated once, and listed in every spelling only for a pair owed
-    # a penetration check (separation reads routes alone); `held` keeps the
-    # listing while the pair is still owed.  The triangle and combed-area
-    # checks read their sides' reports from this cache too.
+    # normal forms of (f, g) -> (distance, separation report): each ordered
+    # pair's geodesics are enumerated once, and listed in every spelling only
+    # for a pair owed a penetration check (separation reads routes alone);
+    # `held` keeps the listing while the pair is still owed.  The triangle and
+    # combed-area checks read their sides' reports from this cache too.
     cache: dict[tuple, tuple] = {}
     held: dict = {}
 
     def dist_and_report(f, g):
-        key = (f, g)
+        key = (unwrap(f), unwrap(g))
         if key not in cache:
             find = geodesics if owed[key] else geodesic_routes
             geo = find(spec, f, g, budget=budget)
@@ -198,7 +200,7 @@ def run_full_suite(
         return dist_and_report(f, g)[1]
 
     def penetration_checks(f, g, rep_fg):
-        key = (f, g)
+        key = (unwrap(f), unwrap(g))
         geo = held[key]
         owed[key] -= 1
         if not owed[key]:
@@ -214,15 +216,13 @@ def run_full_suite(
                         lambda: f"geodesic misses {coset} for ({f},{g})",
                     )
                 if not sep.trivial:
+                    shift = coset.rep.inverse()
                     for u, v in pairs:
-                        d_uv = spec.rel_distance(
-                            coset.rep.inverse() * u, coset.rep.inverse() * v, lam
-                        )
-                        verdict = d_uv.is_finite() and d_uv.value > 3 * c
-                        verdict = verdict or not d_uv.is_finite()
+                        d_uv = spec.rel_distance(shift * u, shift * v, lam)
+                        verdict = not d_uv.is_finite() or d_uv.value > three_c
                         results["entrance-exit-3c"].record(
-                            bool(verdict),
-                            lambda: f"gap {d_uv} not above {3 * c} at {coset} of ({f},{g})",
+                            verdict,
+                            lambda: f"gap {d_uv} not above {three_c} at {coset} of ({f},{g})",
                         )
 
     # separation laws over every pair, penetration over its prefix

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qcext.cli import main, tag
+from qcext.cli import MAX_RADIUS, MAX_SAMPLES, main, tag
 from qcext.errors import ConfigError
 
 FP_SPEC = {
@@ -364,6 +364,71 @@ def test_malformed_lambdas_and_phi_exit_2_naming_the_key(tmp_path, capsys, comma
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+Z3_TIMES_T = {"family": "free_product",
+              "factors": [{"kind": "cyclic", "order": 3}, {"kind": "free", "gens": ["t"]}],
+              "names": ["A", "B"]}
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("extend", {"spec": BIG_FP_SPEC,
+                    "inputs": [{"kind": "brooks", "lambda": "A", "w": "x zz"}]}, "inputs w"),
+        ("extend", {"spec": REL_SPEC, "inputs": [{"kind": "cyclic-homomorphism"}],
+                    "evaluate": ["zz"]}, "evaluate"),
+        ("separating", {"spec": FP_SPEC, "pairs": [["1", "q"]]}, "pairs"),
+        ("scl-bound", {**SCL_CONFIG, "h": "x^-1 zz"}, "h"),
+        ("scl-bound", {**SCL_CONFIG, "phi": {"kind": "brooks-homogenized", "w": "x^0"}},
+         "phi w"),
+        ("scl-bound", {**SCL_CONFIG, "y_gens": ["x", "t"]}, "y_gens"),
+        ("scl-bound", {**SCL_CONFIG, "upper": {"n": 1, "commutators": [["x", "y^"]]}},
+         "upper commutators"),
+    ],
+    ids=["inputs-w", "evaluate", "pairs", "h", "phi-w", "y_gens", "commutators"],
+)
+def test_config_words_that_do_not_parse_exit_2_naming_the_key(
+        tmp_path, capsys, command, config, key):
+    code, report = run_cli(tmp_path, command, config)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {key}: "), err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("extend", {"spec": Z3_TIMES_T, "inputs": [{"kind": "brooks", "lambda": "A", "w": "g"}]}),
+    ("scl-bound", {**SCL_CONFIG, "spec": Z3_TIMES_T, "h": "g",
+                   "phi": {"kind": "brooks-homogenized", "w": "g"}}),
+], ids=["brooks", "scl-bound"])
+def test_words_on_a_finite_factor_exit_2(tmp_path, capsys, command, config):
+    code, report = run_cli(tmp_path, command, config)
+    assert code == 2 and report is None
+    assert "free factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("verify", "radius", -1),
+        ("verify", "radius", MAX_RADIUS + 1),
+        ("verify", "samples", -5),
+        ("verify", "samples", 1_000_000),
+        ("defect", "radius", -1),
+        ("defect", "samples", MAX_SAMPLES + 1),
+        ("extend", "restriction_samples", -1),
+        ("extend", "restriction_samples", 1_000_000),
+        ("calibrate-c", "samples", -1),
+    ],
+)
+def test_radius_and_samples_out_of_range_exit_2_naming_the_key(
+        tmp_path, capsys, command, key, value):
+    base = CALIBRATE_CONFIG if command == "calibrate-c" else {
+        "spec": REL_SPEC, "inputs": [{"kind": "step", "antisymmetrize": True}]}
+    code, report = run_cli(tmp_path, command, {**base, key: value})
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be an integer from 0 to "), err
 
 
 def test_separating_command_reports_the_requested_labels(tmp_path):

@@ -17,7 +17,7 @@ from qcext import (
     separation_report,
     triangle_partition,
 )
-from qcext.errors import NotSeparatingError
+from qcext.errors import MixedContextError, NotSeparatingError
 from qcext.suite import ball_domain
 
 
@@ -200,19 +200,20 @@ def reference_report(spec, f, g, lam, c=Fraction(0)):
     )
 
 
-def assert_matches_reference(spec, g, c=Fraction(0)):
-    one = spec.identity()
-    report = separation_report(spec, one, g, c_value=c)
+def assert_matches_reference(spec, g, c=Fraction(0), f=None):
+    f = spec.identity() if f is None else f
+    report = separation_report(spec, f, g, c_value=c)
     for lam in spec.lambdas():
         got = report[lam]
-        cosets, dists, pairs, exhaustive, band = reference_report(spec, one, g, lam, c)
-        assert got.cosets == cosets, (str(g), lam)
-        assert got.distances == dists, (str(g), lam)
-        assert got.entrance_exits == pairs, (str(g), lam)
-        assert got.exhaustive == exhaustive, (str(g), lam)
+        where = (str(f), str(g), lam)
+        cosets, dists, pairs, exhaustive, band = reference_report(spec, f, g, lam, c)
+        assert got.cosets == cosets, where
+        assert got.distances == dists, where
+        assert got.entrance_exits == pairs, where
+        assert got.exhaustive == exhaustive, where
         assert tuple(
             (b.coset, (b.entrance, b.exit), b.width) for b in got.band_excluded
-        ) == band, (str(g), lam)
+        ) == band, where
 
 
 def test_rel_x_ball_matches_per_edge_reference():
@@ -225,6 +226,34 @@ def test_free_product_ball_matches_per_edge_reference():
     spec = fp_spec()
     for g in ball_domain(spec, 2):
         assert_matches_reference(spec, g)
+
+
+def test_free_product_ball_pairs_match_per_edge_reference():
+    # the suite separates arbitrary (f, g), not only (1, g)
+    spec = fp_spec()
+    ball = ball_domain(spec, 2)
+    for f in ball:
+        for g in ball:
+            assert_matches_reference(spec, g, f=f)
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1)])
+def test_rel_x_ball_pairs_match_per_edge_reference(c):
+    ball = list(free_ball_words(F2, 2))
+    for f in ball:
+        for g in ball:
+            assert_matches_reference(REL_X, g, c, f=f)
+
+
+def test_mixed_group_pair_raises():
+    other = FreeGroup(["x", "z"])
+    with pytest.raises(MixedContextError):
+        separation_report(REL_X, F2.parse("x y"), other.parse("x z"))
+    spec = fp_spec()
+    A, B = FreeGroup(["a"]), FreeGroup(["c"])
+    foreign = FreeProduct([A, B])
+    with pytest.raises(MixedContextError):
+        separation_report(spec, spec.parse("a b"), foreign.parse("a c"))
 
 
 def test_generic_rel_xy_ball_matches_per_edge_reference():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcext import separating, suite
+from qcext.cli import cmd_verify
 from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec, spec_from_json
 from qcext.groups import FreeGroup, FreeProduct, commutator
 from qcext.qc import brooks_homogenized, cyclic_homomorphism
@@ -241,4 +242,36 @@ def test_failing_generic_suite_report_is_pinned():
         "all_passed": False,
         "total_instances": 944,
         "total_violations": 6,
+    }
+
+
+BENCH_FP_SPEC = {"family": "free_product",
+                 "factors": [{"kind": "free", "gens": ["x", "y"]},
+                             {"kind": "free", "gens": ["t"]}],
+                 "names": ["A", "B"]}
+BENCH_RELX_SPEC = {"family": "free_rel_cyclic", "gens": ["x", "y"], "w": "x"}
+
+
+@pytest.mark.parametrize("config, counts", [
+    ({"spec": BENCH_FP_SPEC, "inputs": [{"kind": "brooks", "lambda": "A", "w": "x y"},
+                                        {"kind": "cyclic-homomorphism", "lambda": "B"}]},
+     {"separating-symmetry": 124, "separating-equivariance": 40, "separating-order": 124,
+      "cardinality-bound": 124, "penetration-consistency": 86, "entrance-exit-3c": 60,
+      "triangle-partition": 626, "elementary-area-bound": 120,
+      "chain-telescoping-bound": 200, "averaged-value-bound": 116, "combed-area-bound": 80,
+      "restriction-identity": 80, "extension-defect-certificate": 24}),
+    ({"spec": BENCH_RELX_SPEC, "inputs": [{"kind": "step", "antisymmetrize": True}]},
+     {"separating-symmetry": 40, "separating-equivariance": 20, "separating-order": 40,
+      "cardinality-bound": 40, "penetration-consistency": 56, "entrance-exit-3c": 19,
+      "triangle-partition": 119, "elementary-area-bound": 60,
+      "chain-telescoping-bound": 100, "averaged-value-bound": 56, "combed-area-bound": 40,
+      "restriction-identity": 38, "extension-defect-certificate": 24}),
+], ids=["fp-brooks", "relx-half-sign"])
+def test_benchmark_verify_counts_are_pinned(config, counts):
+    # the benchmark's two verify configs at a small size: a change to the
+    # hot path that drops or adds instances shows here
+    out, code = cmd_verify({**config, "samples": 20, "radius": 1}, 0)
+    assert code == 0 and out["all_passed"]
+    assert {name: (c["instances"], c["violations"]) for name, c in out["checks"].items()} == {
+        name: (n, 0) for name, n in counts.items()
     }
