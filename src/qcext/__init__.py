@@ -56,7 +56,6 @@ from .geodesics import (
     distance_map,
     free_ball_words,
     geodesic_routes,
-    geodesics,
     penetration,
 )
 from .groups import (

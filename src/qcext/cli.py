@@ -5,8 +5,10 @@ Every subcommand reads a JSON config, runs deterministically for a fixed
 byte-identical across reruns; wall-clock timings live outside it.  Exit
 codes: 0 success, 1 a check or verification failed, 2 config/schema
 problems, 3 a search budget ran out (a partial report is still written).
-A config word that does not parse, a `radius` outside 0..MAX_RADIUS and a
-`samples` or `restriction_samples` outside 0..MAX_SAMPLES exit 2 and name
+A config word that does not parse, a `radius` outside 0..MAX_RADIUS, a
+`samples` or `restriction_samples` outside 0..MAX_SAMPLES, an as-nec-demo
+`n` or `k_max` outside 0..MAX_DEMO, an scl-bound `upper.n` above
+MAX_UPPER_N and an `element_size` above MAX_ELEMENT_SIZE exit 2 and name
 the key; the bounds keep every run finite.
 """
 
@@ -46,6 +48,9 @@ EXIT_BUDGET = 3
 
 MAX_RADIUS = 4  # the largest ball radius a config may ask for
 MAX_SAMPLES = 10_000  # the largest sample count a config may ask for
+MAX_DEMO = 100  # the largest as-nec-demo n and k_max
+MAX_UPPER_N = 1_000  # the largest power of h an scl-bound upper checks
+MAX_ELEMENT_SIZE = 16  # the longest element calibrate-c samples
 
 
 def tag(value, provenance: str) -> dict:
@@ -96,9 +101,11 @@ def _budget(config: dict) -> SearchBudget | None:
     return SearchBudget.from_json(config["budget"])
 
 
-def _int(data: dict, key: str, default: int, top: int | None = None) -> int:
+def _int(data: dict, key: str, default: int, top: int | None = None,
+         where: str = "") -> int:
     """data[key], or default, as an integer: an int or a decimal string,
-    from 0 to `top` when that is given."""
+    from 0 to `top` when that is given.  Errors name the key after the
+    prefix `where` of its enclosing keys."""
     raw = data.get(key, default)
     if not isinstance(raw, bool) and isinstance(raw, (int, str)):
         try:
@@ -108,8 +115,8 @@ def _int(data: dict, key: str, default: int, top: int | None = None) -> int:
         else:
             if top is None or 0 <= n <= top:
                 return n
-            raise ConfigError(f"{key} must be an integer from 0 to {top}, not {n}")
-    raise ConfigError(f"{key} must be an integer, not {raw!r}")
+            raise ConfigError(f"{where}{key} must be an integer from 0 to {top}, not {n}")
+    raise ConfigError(f"{where}{key} must be an integer, not {raw!r}")
 
 
 def _word(parser, text, key: str):
@@ -275,14 +282,12 @@ def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
     sizes = _list(config, "ngon_sizes", "positive integers", _positive_int, [3, 4, 5, 6])
     if not sizes:
         raise ConfigError("ngon_sizes must be non-empty")
-    if (element_size := _int(config, "element_size", 6)) < 0:
-        raise ConfigError("element_size must be nonnegative")
     report = calibrate_c(
         spec,
         samples=_int(config, "samples", 200, MAX_SAMPLES),
         ngon_sizes=tuple(sizes),
         seed=seed,
-        element_size=element_size,
+        element_size=_int(config, "element_size", 6, MAX_ELEMENT_SIZE),
         budget=_budget(config),
     )
     payload = report.to_json()
@@ -296,8 +301,8 @@ def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
 
 def cmd_asnec(config: dict, seed: int) -> tuple[dict, int]:
     payload = asnec_demo(
-        n=_int(config, "n", 1),
-        k_max=_int(config, "k_max", 6),
+        n=_int(config, "n", 1, MAX_DEMO),
+        k_max=_int(config, "k_max", 6, MAX_DEMO),
         seed=seed,
     )
     ok = payload["violation_grows"] and payload["symmetrized"]["defect_within_certificate"]
@@ -332,7 +337,7 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     if upper_cfg is not None:
         if not isinstance(upper_cfg, dict):
             raise ConfigError("upper must be an object")
-        n = _int(upper_cfg, "n", 1)
+        n = _int(upper_cfg, "n", 1, MAX_UPPER_N, "upper.")
         if n < 1:
             raise ConfigError("upper n must be a positive integer")
         pairs = _list(upper_cfg, "commutators", "[u, v] pairs", _pair)

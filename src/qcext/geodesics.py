@@ -1,40 +1,37 @@
 """Paths and geodesics in the coned graph.
 
 Vertices are ambient group elements; edges are labeled by XLetter or HLetter
-and multiply on the right.  Three engines back `geodesics`:
+and multiply on the right.  `geodesic_routes` is the one geodesic listing.
+A route is a geodesic standing for every geodesic with its vertex tuple:
+entrance and exit points, hence separation, read only vertices, and the
+triangle partition's f-h side and calibration read one path.  Three
+engines back it:
 
 * free products: the syllable normal form is the unique geodesic spelling;
-* a cyclic subgroup generated by a basis letter: closed form (each maximal
-  run of that letter costs one edge, runs of exponent +-1 admit the parallel
-  ambient edge as a second spelling);
+* a cyclic subgroup generated by a basis letter: closed form, one path
+  with one edge per block (a maximal run of that letter, or one other
+  letter).  A run of exponent +-1 also admits the parallel subgroup edge,
+  but both edges join the same two vertices, so the route stands for
+  every spelling;
 * generic cyclic word: pruned breadth-first search with a predecessor DAG
-  and ordered enumeration of all geodesics found under the caps.
+  and ordered enumeration of the geodesics found under the caps.  These
+  have pairwise distinct vertex tuples (an ambient letter and a subgroup
+  letter share an element only when |w| = 1), so they are the routes.
 
-Closed forms report exhaustive=True unless `max_geodesics` cuts the listing
-short; the pruned search never does.
-
-A route is a geodesic standing for every geodesic with its vertex tuple.
-Separation reads only vertices, and the triangle partition's f-h side and
-calibration only the first spelling, so they ask `geodesic_routes`, which
-lists one path per distinct vertex tuple.  For a basis letter every spelling
-shares one vertex tuple (the two edges of a +-1 run join the same vertices),
-so the route is one path, built letter by letter from the first choice of
-each block, and it is exhaustive whatever `max_geodesics` is; `geodesics`
-expands it into the 2^(number of +-1 runs) spellings.  Free-product and
-generic-engine paths already have pairwise distinct vertex tuples (an
-ambient letter and a subgroup letter share an element only when |w| = 1),
-so there the routes are the geodesics.
+The closed forms report exhaustive=True; the pruned search never does.
+`max_geodesics` bounds only the pruned search's listing, which is flagged
+truncated when it stops there.
 
 `distance` lists no path where a closed form exists.  On free products it
 reads the normal forms alone: past their common syllable prefix, f^-1 g
 is the rest of f inverted, then the rest of g, the two facing syllables
 merged into one (a^-1 b != 1) when they lie in one factor.  Elsewhere it
-is the length of the route, so a basis w builds one path rather than
-every spelling; `distance_map` counts the blocks of a ball's words, one
-block opened per letter unless it extends a run of the basis letter.
-The engines work on u = f^-1 g, which `separation_report` computes once
-and hands to the route dispatch.  u and a path's vertices are products of
-normal forms (`raw_mul`, then `wrap`): no element `*` runs along a path.
+is the length of the route; `distance_map` counts the blocks of a ball's
+words, one block opened per letter unless it extends a run of the basis
+letter.  The engines work on u = f^-1 g, which `separation_report`
+computes once and hands to the route dispatch, `_routes`.  u and a path's
+vertices are products of normal forms (`raw_mul`, then `wrap`): no
+element `*` runs along a path.
 
 The closed-form routes are prefix-closed.  The route from 1 to g spells g
 block by block: on free products a block is a syllable, on a basis w a
@@ -71,10 +68,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, product
 from typing import Iterable, Sequence
 
-from .embedding import SearchBudget, XLetter
+from .embedding import SearchBudget
 from .errors import BudgetExhaustedError, DomainError, MixedContextError, NotGeodesicError
 from .groups import FreeGroup, FreeWord, _left_quotient, _slot_init, _trusted_words
 
@@ -84,10 +80,10 @@ class CayleyPath:
     """Edge path: origin vertex plus a tuple of letters, applied rightward.
 
     `_verts`, when given, must be the vertex tuple the letters trace from
-    the origin; engines whose geodesics share their vertices pass one tuple
-    to every path instead of letting each rebuild it.  Equality and the hash
-    read (origin, letters) only: `_verts` is a cache, filled on first use,
-    and the only field that ever changes.
+    the origin; the basis route builds its vertices beside its letters and
+    passes them.  Equality and the hash read (origin, letters) only:
+    `_verts` is a cache, filled on first use, and the only field that ever
+    changes.
     """
 
     origin: object
@@ -123,10 +119,10 @@ class CayleyPath:
 @_slot_init
 @dataclass(frozen=True, slots=True)
 class GeodesicSet:
-    """Result of a geodesic query between two fixed vertices.
-
-    From `geodesics`, exhaustive means every geodesic is listed; from
-    `geodesic_routes`, that every geodesic's vertex tuple is listed.
+    """Result of a geodesic query between two fixed vertices: one geodesic
+    per distinct vertex tuple.  Exhaustive means every geodesic's vertex
+    tuple is listed; truncated, that the pruned search stopped at
+    `max_geodesics`.
     """
 
     distance: int
@@ -136,39 +132,27 @@ class GeodesicSet:
     note: str = ""
 
 
-def geodesics(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
-    """All geodesics from f to g known to the family engine, in the
-    deterministic letter order (ambient letters before subgroup letters)."""
-    return _listing(spec, f, _left_quotient(f, g), budget or spec.budget)
-
-
 def geodesic_routes(spec, f, g, budget: SearchBudget | None = None) -> GeodesicSet:
-    """One geodesic from f to g per distinct vertex tuple, each spelled as
-    `geodesics` spells its first path with those vertices."""
+    """One geodesic from f to g per distinct vertex tuple, in the
+    deterministic letter order (ambient letters before subgroup letters)."""
     return _routes(spec, f, _left_quotient(f, g), budget)
 
 
-def _listing(spec, f, u, budget: SearchBudget) -> GeodesicSet:
-    """`geodesics` from f to f*u, for a caller that already holds u = f^-1 g."""
+def _routes(spec, f, u, budget: SearchBudget | None) -> GeodesicSet:
+    """`geodesic_routes` from f to f*u, for a caller that already holds
+    u = f^-1 g."""
     if spec.family == "free_product":
         return _free_product_geodesics(spec, f, u)
     if spec.is_basis:
-        return _basis_geodesics(spec, f, u, budget)
-    return _generic_geodesics(spec, f, u, budget)
-
-
-def _routes(spec, f, u, budget: SearchBudget | None) -> GeodesicSet:
-    """`geodesic_routes` from f to f*u, for a caller that already holds u."""
-    if spec.family != "free_product" and spec.is_basis:
         letters, verts = _basis_route(spec, f, u)
         return GeodesicSet(len(letters), (CayleyPath(f, letters, verts),), True)
-    return _listing(spec, f, u, budget or spec.budget)
+    return _generic_geodesics(spec, f, u, budget or spec.budget)
 
 
 def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
     """d(f, g) in the coned graph: on free products the syllable count of
     f^-1 g, read off the normal forms (MixedContextError for two groups),
-    else the length of a route (no spelling is listed)."""
+    else the length of a route."""
     if spec.family == "free_product":
         if f.group is not g.group and f.group != g.group:
             raise MixedContextError("elements from different groups")
@@ -252,33 +236,6 @@ def _basis_route(spec, f, u) -> tuple[tuple, tuple]:
         verts.append(FreeWord(group, fc[: n - m] + cs[m:j]))
         i = j
     return tuple(letters), tuple(verts)
-
-
-def _basis_geodesics(spec, f, u, budget: SearchBudget) -> GeodesicSet:
-    letters, verts = _basis_route(spec, f, u)
-    # A +-1 run of the basis letter is spelled by the ambient letter or by
-    # the subgroup letter w^+-1; both edges join the same two vertices.
-    wcode = spec.w.codes[0]
-    blocks = [
-        (letter, spec.power_letter(1 if letter.code == wcode else -1))
-        if isinstance(letter, XLetter) and letter.code >> 1 == wcode >> 1
-        else (letter,)
-        for letter in letters
-    ]
-    # The listing stops once it holds max_geodesics paths (at least one)
-    # and is then flagged truncated, even if nothing was left out.
-    cap = budget.max_geodesics
-    paths = tuple(
-        CayleyPath(f, spelling, verts)
-        for spelling in islice(product(*blocks), max(cap, 1))
-    )
-    truncated = len(paths) >= cap
-    return GeodesicSet(
-        distance=len(blocks),
-        geodesics=paths,
-        exhaustive=not truncated,
-        truncated=truncated,
-    )
 
 
 # -- the pruned search ----------------------------------------------------------

@@ -146,9 +146,9 @@ def separation_report(
     """Separating cosets for every requested subgroup label in one pass.
 
     Returns {lam: SeparatingCosets}.  Separation reads only the vertices of
-    the geodesics, so by default it walks `geodesic_routes`, one path per
-    distinct vertex tuple, shared across labels; pass `geo` to reuse a
-    listing computed elsewhere (routes or all geodesics give one report).
+    the geodesics, so it walks `geodesic_routes`, one path per distinct
+    vertex tuple, shared across labels; pass `geo` to reuse the routes of
+    (f, g) computed elsewhere.
     f^-1 g is one product of normal forms; f and g of different groups
     raise MixedContextError.
     """
@@ -160,7 +160,7 @@ def separation_report(
                 for lam in lams}
     trivial = [spec.in_subgroup(u, lam) for lam in lams]
     if geo is None and not all(trivial):
-        geo = _routes(spec, f, u, budget)  # the routes of geodesic_routes, from u
+        geo = _routes(spec, f, u, budget)  # geodesic_routes, from u
     # None when C = 0: every penetration with distinct endpoints is essential
     three_c = 3 * c if c else None
     out: dict[str, SeparatingCosets] = {}
@@ -191,21 +191,14 @@ class _CosetTally:
 
 def _essential_cosets(spec, f, g, lam, c, three_c, geo: GeodesicSet, budget) -> SeparatingCosets:
     # Along a path verts[i]^-1 verts[i+1] is the letter's element, and the
-    # letter says which subgroup holds it.  Everything below depends on the
-    # vertices alone, so a path with the same vertex tuple as the path
-    # before it would replay the same updates and is skipped (all spellings
-    # of a closed-form geodesic share one tuple).  The dicts are keyed by
-    # normal forms, so that every probe hashes in C.
+    # letter says which subgroup holds it.  The dicts are keyed by normal
+    # forms, so that every probe hashes in C.
     unwrap = spec.group.unwrap
-    prev = None
     tally_of: dict = {}  # u of an edge (u, v) -> its coset's tally
     width_of: dict = {}  # edge (u, v) -> its width, once measured
     info: dict = {}  # coset rep -> _CosetTally, in first-seen order
     for path in geo.geodesics:
         verts = path.vertices()
-        if verts is prev:
-            continue
-        prev = verts
         for i, letter in enumerate(path.letters):
             if letter.lam != lam:
                 continue

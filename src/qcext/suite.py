@@ -11,7 +11,6 @@ it, so only `extension` computes K and sums 54K + 66D.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -20,7 +19,7 @@ from .coeffs import zero
 from .embedding import seeded_rng
 from .errors import DomainError, PartitionNotFoundError
 from .extension import averaged_value, combed_value, elementary_bicombing, extend
-from .geodesics import geodesic_routes, geodesics, penetration
+from .geodesics import geodesic_routes, penetration
 from .groups import FiniteTableGroup, FreeGroup, enumerate_ball
 from .qc import coboundary1
 from .separating import _resolve_c, separation_report, triangle_partition
@@ -169,42 +168,31 @@ def run_full_suite(
     all_pairs = ball_pairs + sample_pairs
 
     # penetration and entrance-exit gaps run on the ball pairs + a sample
-    # slice, a prefix of all_pairs; `owed` counts the checks each pair has left
+    # slice, a prefix of all_pairs
     pen_pairs = ball_pairs + sample_pairs[: samples // 5]
     unwrap = spec.group.unwrap
-    owed = Counter((unwrap(f), unwrap(g)) for f, g in pen_pairs)
     three_c = 3 * c
 
-    # normal forms of (f, g) -> (distance, separation report): each ordered
-    # pair's geodesics are enumerated once, and listed in every spelling only
-    # for a pair owed a penetration check (separation reads routes alone);
-    # `held` keeps the listing while the pair is still owed.  The triangle and
-    # combed-area checks read their sides' reports from this cache too.
+    # normal forms of (f, g) -> (routes, separation report): each ordered
+    # pair's routes are found once, and separation and the penetration
+    # checks both walk them.  The triangle and combed-area checks read their
+    # sides' reports from this cache too.
     cache: dict[tuple, tuple] = {}
-    held: dict = {}
 
-    def dist_and_report(f, g):
+    def routes_and_report(f, g):
         key = (unwrap(f), unwrap(g))
         if key not in cache:
-            find = geodesics if owed[key] else geodesic_routes
-            geo = find(spec, f, g, budget=budget)
+            geo = geodesic_routes(spec, f, g, budget=budget)
             cache[key] = (
-                geo.distance,
+                geo,
                 separation_report(spec, f, g, c_value=c, budget=budget, geo=geo),
             )
-            if owed[key]:
-                held[key] = geo
         return cache[key]
 
     def report_for(f, g):
-        return dist_and_report(f, g)[1]
+        return routes_and_report(f, g)[1]
 
-    def penetration_checks(f, g, rep_fg):
-        key = (unwrap(f), unwrap(g))
-        geo = held[key]
-        owed[key] -= 1
-        if not owed[key]:
-            del held[key]
+    def penetration_checks(f, g, geo, rep_fg):
         for lam in lams:
             sep = rep_fg[lam]
             for i, coset in enumerate(sep.cosets):
@@ -227,7 +215,7 @@ def run_full_suite(
 
     # separation laws over every pair, penetration over its prefix
     for n, (f, g) in enumerate(all_pairs):
-        dist, rep_fg = dist_and_report(f, g)
+        geo, rep_fg = routes_and_report(f, g)
         rep_gf = report_for(g, f)
         for lam in lams:
             s_fg, s_gf = rep_fg[lam], rep_gf[lam]
@@ -240,11 +228,11 @@ def run_full_suite(
                 lambda: f"distances not increasing for ({f},{g};{lam})",
             )
             results["cardinality-bound"].record(
-                len(s_fg) <= dist,
-                lambda: f"|S|={len(s_fg)} exceeds d={dist} for ({f},{g};{lam})",
+                len(s_fg) <= geo.distance,
+                lambda: f"|S|={len(s_fg)} exceeds d={geo.distance} for ({f},{g};{lam})",
             )
         if n < len(pen_pairs):
-            penetration_checks(f, g, rep_fg)
+            penetration_checks(f, g, geo, rep_fg)
 
     # equivariance on the sampled pairs
     trng = seeded_rng(seed, "suite:translates")

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from qcext.cli import MAX_RADIUS, MAX_SAMPLES, main, tag
+from qcext.cli import (
+    MAX_DEMO, MAX_ELEMENT_SIZE, MAX_RADIUS, MAX_SAMPLES, MAX_UPPER_N, main, tag,
+)
 from qcext.errors import ConfigError
 
 FP_SPEC = {
@@ -419,13 +421,22 @@ def test_words_on_a_finite_factor_exit_2(tmp_path, capsys, command, config):
         ("extend", "restriction_samples", -1),
         ("extend", "restriction_samples", 1_000_000),
         ("calibrate-c", "samples", -1),
+        ("as-nec-demo", "n", MAX_DEMO + 1),
+        ("as-nec-demo", "k_max", MAX_DEMO + 1),
+        ("as-nec-demo", "k_max", -1),
+        ("scl-bound", "upper.n", MAX_UPPER_N + 1),
+        ("calibrate-c", "element_size", MAX_ELEMENT_SIZE + 1),
     ],
 )
 def test_radius_and_samples_out_of_range_exit_2_naming_the_key(
         tmp_path, capsys, command, key, value):
-    base = CALIBRATE_CONFIG if command == "calibrate-c" else {
-        "spec": REL_SPEC, "inputs": [{"kind": "step", "antisymmetrize": True}]}
-    code, report = run_cli(tmp_path, command, {**base, key: value})
+    rel = {"spec": REL_SPEC, "inputs": [{"kind": "step", "antisymmetrize": True}]}
+    upper = {**SCL_CONFIG, "upper": {"n": 1, "commutators": [["x", "y"]]}}
+    base = {"calibrate-c": CALIBRATE_CONFIG, "scl-bound": upper}.get(command, rel)
+    # a dotted key names a key inside an object: upper.n
+    outer, _, inner = key.rpartition(".")
+    config = {**base, outer: {**base[outer], inner: value}} if outer else {**base, key: value}
+    code, report = run_cli(tmp_path, command, config)
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} must be an integer from 0 to "), err

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import importlib
 from fractions import Fraction
 
 import pytest
 
+import qcext.extension as extension_module
+import qcext.geodesics as geodesics_module
 from qcext import (
     FreeGroup,
     FreeProduct,
@@ -36,9 +37,6 @@ from qcext.embedding import spec_from_json
 from qcext.errors import CertificateError, DomainError, MixedContextError
 from qcext.qc import CertifiedBound, half_sign
 from qcext.suite import ball_domain
-
-# the package's `geodesics` attribute is the function, not the module
-geodesics_module = importlib.import_module("qcext.geodesics")
 
 F2 = FreeGroup(["x", "y"])
 REL_X = FreeRelCyclicSpec(F2, F2.parse("x"))
@@ -261,24 +259,6 @@ def test_long_basis_word_evaluates_unconditionally():
     assert res.conditional_reasons == []
 
 
-def test_basis_evaluation_lists_no_spellings(monkeypatch):
-    calls = []
-    spell = geodesics_module._basis_geodesics
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return spell(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics_module, "_basis_geodesics", counted)
-    res = extend(REL_X, {"C": half_sign(REL_X)})
-    for ls in _letters(3):
-        res.iota(F2.word(ls))
-    assert calls == []
-    # the counter sees a listing when one is asked for
-    geodesics_module.geodesics(REL_X, F2.identity(), F2.parse("y x"))
-    assert len(calls) == 1
-
-
 def test_carried_steps_are_the_subgroup_elements_of_their_pairs():
     # Separation carries h = u^-1 v with each entrance/exit pair, and the
     # bicombing reads q(h) without recomputing or testing it; this sweep
@@ -320,7 +300,6 @@ def test_carried_steps_are_the_subgroup_elements_of_their_pairs():
 # -- telescoped evaluation on closed-form routes ---------------------------------
 
 last_block = geodesics_module.last_block
-extension_module = importlib.import_module("qcext.extension")
 
 
 def _reference(spec, inputs, c, g):

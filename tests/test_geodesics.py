@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
+import qcext
 from qcext import (
     FreeGroup,
     FreeProduct,
@@ -12,7 +15,6 @@ from qcext import (
     distance,
     free_ball_words,
     geodesic_routes,
-    geodesics,
     penetration,
 )
 from qcext.embedding import HLetter
@@ -53,38 +55,50 @@ def test_basis_distances_frozen():
     assert distance(REL_X, one, one) == 0
 
 
+def test_geodesics_is_the_module():
+    assert isinstance(qcext.geodesics, types.ModuleType)
+    assert qcext.geodesics.geodesic_routes is geodesic_routes
+
+
 def test_basis_geodesics_block_structure():
-    geo = geodesics(REL_X, F2.identity(), F2.parse("y x^3 y"))
+    geo = geodesic_routes(REL_X, F2.identity(), F2.parse("y x^3 y"))
     assert geo.distance == 3
     assert geo.exhaustive
+    assert len(geo.geodesics) == 1
     dump = geo.geodesics[0].dump()
     assert dump == ["X:y", "H:x^3", "X:y"]
 
 
 def test_single_letter_runs_have_both_spellings():
     # a length-1 subgroup run can be spelled by the ambient letter or by
-    # the subgroup edge; both are geodesics.
-    geo = geodesics(REL_X, F2.identity(), F2.parse("y x y"))
-    dumps = {tuple(p.dump()) for p in geo.geodesics}
-    assert ("X:y", "X:x", "X:y") in dumps
-    assert ("X:y", "H:x", "X:y") in dumps
+    # the subgroup edge; the route takes the ambient letter, and the other
+    # spelling is a geodesic through the same vertices.
+    one = F2.identity()
+    geo = geodesic_routes(REL_X, one, F2.parse("y x y"))
+    (route,) = geo.geodesics
+    assert route.dump() == ["X:y", "X:x", "X:y"]
+    x_edge = HLetter(REL_X.lambdas()[0], F2.parse("x"), power=1)
+    other = CayleyPath(one, (route.letters[0], x_edge, route.letters[2]))
+    assert other.dump() == ["X:y", "H:x", "X:y"]
+    assert other.vertices() == route.vertices()
 
 
 def test_basis_route_is_the_first_spelling():
     ball = list(free_ball_words(F2, 3))
+    blocks = distance_map(REL_X, 6)  # the block count of each f^-1 g
     for f in ball[::9]:
         for g in ball:
-            geo = geodesics(REL_X, f, g)
             routes = geodesic_routes(REL_X, f, g)
             assert routes.exhaustive and not routes.truncated
-            assert routes.distance == geo.distance
-            assert routes.geodesics == geo.geodesics[:1]
+            assert len(routes.geodesics) == 1
+            assert routes.distance == blocks[f.inverse() * g]
             # the vertices sliced from f and u = f^-1 g are the products
             route = routes.geodesics[0]
+            assert len(route.letters) == routes.distance
             rebuilt = [f]
             for letter in route.letters:
                 rebuilt.append(rebuilt[-1] * letter.elem)
-            assert route.vertices() == tuple(rebuilt) == geo.geodesics[0].vertices()
+            assert route.vertices() == tuple(rebuilt)
             assert rebuilt[-1] == g
 
 
@@ -95,9 +109,32 @@ def test_routes_are_the_geodesics_off_the_closed_form():
     cases = [(spec, g) for g in ball_domain(spec, 2)]
     cases += [(REL_XY, g) for g in free_ball_words(F2, 2)]
     for sp, g in cases:
-        geo = geodesics(sp, sp.identity(), g)
-        assert geodesic_routes(sp, sp.identity(), g) == geo
+        geo = geodesic_routes(sp, sp.identity(), g)
+        assert geo.geodesics
         assert len({p.vertices() for p in geo.geodesics}) == len(geo.geodesics)
+        for path in geo.geodesics:
+            assert len(path.letters) == geo.distance
+            assert path.vertices()[-1] == g
+
+
+def test_max_geodesics_bounds_only_the_pruned_search():
+    # x y x = (x y) x = (x y x y) y^-1: two geodesics, the cap keeps one
+    one = F2.identity()
+    g = F2.parse("x y x")
+    assert len(geodesic_routes(REL_XY, one, g).geodesics) == 2
+    capped = SearchBudget(max_geodesics=1)
+    geo = geodesic_routes(REL_XY, one, g, budget=capped)
+    assert len(geo.geodesics) == 1 and geo.distance == 2
+    assert geo.truncated and not geo.exhaustive
+    # (x y)^6 has six +-1 runs of x: one route, exhaustive whatever the cap
+    geo = geodesic_routes(REL_X, one, F2.parse("x y") ** 6, budget=capped)
+    assert len(geo.geodesics) == 1 and geo.distance == 12
+    assert geo.exhaustive and not geo.truncated
+    spec = fp_spec()
+    G = spec.group
+    geo = geodesic_routes(spec, G.identity(), G.parse("a b a^2 b"), budget=capped)
+    assert len(geo.geodesics) == 1 and geo.distance == 4
+    assert geo.exhaustive and not geo.truncated
 
 
 def test_negative_basis_letter_spells_its_own_powers():
@@ -106,7 +143,7 @@ def test_negative_basis_letter_spells_its_own_powers():
     rel_xinv = FreeRelCyclicSpec(F2, F2.parse("x^-1"))
     one = F2.identity()
     for g in free_ball_words(F2, 3):
-        geo = geodesics(rel_xinv, one, g)
+        geo = geodesic_routes(rel_xinv, one, g)
         assert geo.distance == distance(REL_X, one, g)
         for path in geo.geodesics:
             rebuilt = [path.origin]
@@ -127,13 +164,13 @@ def test_generic_distances_frozen():
 
 
 def test_generic_geodesics_are_flagged_pruned():
-    geo = geodesics(REL_XY, F2.identity(), F2.parse("y x"))
+    geo = geodesic_routes(REL_XY, F2.identity(), F2.parse("y x"))
     assert not geo.exhaustive
     assert "upper bound" in geo.note
 
 
 def test_vertices():
-    geo = geodesics(REL_X, F2.parse("y"), F2.parse("y x^2"))
+    geo = geodesic_routes(REL_X, F2.parse("y"), F2.parse("y x^2"))
     path = geo.geodesics[0]
     verts = path.vertices()
     assert verts[0] == F2.parse("y")
@@ -141,7 +178,7 @@ def test_vertices():
 
 
 def test_path_equality_ignores_vertex_cache():
-    path = geodesics(REL_X, F2.parse("y"), F2.parse("y x^2 y")).geodesics[0]
+    path = geodesic_routes(REL_X, F2.parse("y"), F2.parse("y x^2 y")).geodesics[0]
     fresh = CayleyPath(path.origin, list(path.letters))
     assert type(fresh.letters) is tuple and not hasattr(fresh, "__dict__")
     assert fresh == path and hash(fresh) == hash(path)
@@ -153,7 +190,7 @@ def test_path_equality_ignores_vertex_cache():
 def test_free_product_geodesic_unique():
     spec = fp_spec()
     G = spec.group
-    geo = geodesics(spec, G.identity(), G.parse("a b a^2"))
+    geo = geodesic_routes(spec, G.identity(), G.parse("a b a^2"))
     assert geo.distance == 3
     assert len(geo.geodesics) == 1
     assert geo.exhaustive
@@ -181,7 +218,7 @@ def test_distance_matches_geodesics_and_oracle():
     for f in ball:
         for g in ball:
             d = distance(fp, f, g)
-            assert d == geodesics(fp, f, g).distance, (str(f), str(g))
+            assert d == geodesic_routes(fp, f, g).distance, (str(f), str(g))
             u = f.inverse() * g
             if u not in oracle:
                 oracle[u] = brute_force_distance_oracle(fp, fp.identity(), u)[0]
@@ -195,7 +232,7 @@ def test_distance_matches_geodesics_and_oracle():
             for u in free_ball_words(F2, 3):
                 g = f * u
                 d = distance(spec, f, g)
-                assert d == geodesics(spec, f, g).distance, (spec, str(f), str(g))
+                assert d == geodesic_routes(spec, f, g).distance, (spec, str(f), str(g))
                 assert d == brute_force_distance_oracle(spec, f, g)[0], (spec, str(f), str(g))
 
 
@@ -350,7 +387,7 @@ def test_left_invariance():
 
 
 def test_components_and_penetration():
-    geo = geodesics(REL_X, F2.identity(), F2.parse("y x^3 y x^2"))
+    geo = geodesic_routes(REL_X, F2.identity(), F2.parse("y x^3 y x^2"))
     path = geo.geodesics[0]
     lam = REL_X.lambdas()[0]
     # two components: one in each of the cosets y<x> and y x^3 y<x>
@@ -383,4 +420,4 @@ def test_budget_exhaustion_raises():
 
     tiny = SearchBudget(max_vertices=5, max_depth=3, max_power=2)
     with pytest.raises(BudgetExhaustedError):
-        geodesics(REL_XY, F2.identity(), F2.parse("y^2 x^2 y x"), budget=tiny)
+        geodesic_routes(REL_XY, F2.identity(), F2.parse("y^2 x^2 y x"), budget=tiny)

@@ -13,7 +13,7 @@ from qcext import (
     SearchBudget,
     distance,
     free_ball_words,
-    geodesics,
+    geodesic_routes,
     separation_report,
     triangle_partition,
 )
@@ -150,13 +150,13 @@ def test_triangle_partition_short_list_is_front():
 
 def reference_report(spec, f, g, lam, c=Fraction(0)):
     """Separating cosets by the plain per-edge definition: every edge of
-    every enumerated geodesic is tested with in_subgroup(u^-1 v) and
-    coset_rep(u); cosets in first-seen order, each at its minimal prefix."""
+    every route is tested with in_subgroup(u^-1 v) and coset_rep(u);
+    cosets in first-seen order, each at its minimal prefix."""
     if f == g:
         return (), (), (), True, ()
     if spec.in_subgroup(f.inverse() * g, lam):
         return (Coset(lam, spec.coset_rep(f, lam)),), (0,), (((f, g),),), True, ()
-    geo = geodesics(spec, f, g)
+    geo = geodesic_routes(spec, f, g)
     info = {}
     for path in geo.geodesics:
         verts = [path.origin]
@@ -268,45 +268,16 @@ def test_generic_rel_xy_ball_matches_per_edge_reference():
             assert_matches_reference(spec, g, c)
 
 
-def test_basis_geodesics_share_one_vertex_tuple():
-    for g in free_ball_words(F2, 3):
-        geo = geodesics(REL_X, F2.identity(), g)
-        if not geo.geodesics:
-            continue
-        shared = geo.geodesics[0].vertices()
-        for path in geo.geodesics:
-            assert path.vertices() is shared
-            rebuilt = [path.origin]
-            for letter in path.letters:
-                rebuilt.append(rebuilt[-1] * letter.elem)
-            assert shared == tuple(rebuilt)
-
-
-def test_routes_and_full_listing_give_one_report():
-    one = F2.identity()
-    origins = [one, F2.parse("y"), F2.parse("x^-1 y")]
-    for f in origins:
-        for g in free_ball_words(F2, 4):
-            geo = geodesics(REL_X, f, g)
-            for c in (Fraction(0), Fraction(1)):
-                assert separation_report(REL_X, f, g, c_value=c) == separation_report(
-                    REL_X, f, g, c_value=c, geo=geo
-                ), (str(f), str(g), c)
-
-
 def test_long_basis_word_separation_is_exhaustive():
-    # (x y)^15 has 15 runs x^1, so 2^15 spellings: the listing stops at
-    # max_geodesics, the separation that reads one vertex tuple does not
+    # (x y)^15 has 15 runs x^1, so 2^15 spellings, all through the vertices
+    # of one route: separation walks that route, whatever max_geodesics is
     g = F2.parse("x y") ** 15
-    geo = geodesics(REL_X, F2.identity(), g)
-    assert len(geo.geodesics) == 20_000
-    assert geo.truncated and not geo.exhaustive
+    geo = geodesic_routes(REL_X, F2.identity(), g)
+    assert len(geo.geodesics) == 1 and geo.distance == 30
     sep = separation_report(REL_X, F2.identity(), g)["C"]
     assert sep.exhaustive
     assert sep.distances == tuple(range(0, 30, 2))
-    assert sep.entrance_exits == separation_report(
-        REL_X, F2.identity(), g, geo=geo
-    )["C"].entrance_exits
+    assert separation_report(REL_X, F2.identity(), g, geo=geo)["C"] == sep
 
 
 def test_negative_basis_letter_separates_like_its_inverse():

@@ -122,16 +122,16 @@ def test_strict_ball_is_computed_once_per_constant(make, balls):
 
 def test_suite_enumerates_each_pair_once(monkeypatch):
     # Outside triangle_partition (which re-derives its three sides), every
-    # ordered pair's geodesics are enumerated once per suite run.
+    # ordered pair's routes are found once per suite run.
     counts: Counter = Counter()
     inside_partition = []
-    enumerate_geodesics = suite.geodesics
+    find_routes = suite.geodesic_routes
     partition = suite.triangle_partition
 
     def counted(spec, f, g, budget=None):
         if not inside_partition:
             counts[(f, g)] += 1
-        return enumerate_geodesics(spec, f, g, budget=budget)
+        return find_routes(spec, f, g, budget=budget)
 
     def uncounted_partition(*args, **kwargs):
         inside_partition.append(True)
@@ -140,7 +140,6 @@ def test_suite_enumerates_each_pair_once(monkeypatch):
         finally:
             inside_partition.pop()
 
-    monkeypatch.setattr(suite, "geodesics", counted)
     monkeypatch.setattr(suite, "geodesic_routes", counted)
     monkeypatch.setattr(separating, "geodesic_routes", counted)
     monkeypatch.setattr(suite, "triangle_partition", uncounted_partition)
@@ -262,7 +261,7 @@ BENCH_RELX_SPEC = {"family": "free_rel_cyclic", "gens": ["x", "y"], "w": "x"}
       "restriction-identity": 80, "extension-defect-certificate": 24}),
     ({"spec": BENCH_RELX_SPEC, "inputs": [{"kind": "step", "antisymmetrize": True}]},
      {"separating-symmetry": 40, "separating-equivariance": 20, "separating-order": 40,
-      "cardinality-bound": 40, "penetration-consistency": 56, "entrance-exit-3c": 19,
+      "cardinality-bound": 40, "penetration-consistency": 25, "entrance-exit-3c": 19,
       "triangle-partition": 119, "elementary-area-bound": 60,
       "chain-telescoping-bound": 100, "averaged-value-bound": 56, "combed-area-bound": 40,
       "restriction-identity": 38, "extension-defect-certificate": 24}),
