@@ -1,15 +1,10 @@
 """Command line front end.
 
-Every subcommand reads a JSON config, runs deterministically for a fixed
-(config, seed) pair, and emits one JSON report.  The `results` section is
-byte-identical across reruns; wall-clock timings live outside it.  Exit
-codes: 0 success, 1 a check or verification failed, 2 config/schema
-problems, 3 a search budget ran out (a partial report is still written).
-A config word that does not parse, a `radius` outside 0..MAX_RADIUS, a
-`samples` or `restriction_samples` outside 0..MAX_SAMPLES, an as-nec-demo
-`n` or `k_max` outside 0..MAX_DEMO, an scl-bound `upper.n` above
-MAX_UPPER_N and an `element_size` above MAX_ELEMENT_SIZE exit 2 and name
-the key; the bounds keep every run finite.
+Every subcommand reads a JSON config through its table in `COMMANDS`, runs
+deterministically for a fixed (config, seed) pair, and emits one JSON report
+whose `results` are byte-identical across reruns.  Exit codes: 0 success, 1
+a check failed, 2 a config error (no report), 3 a search budget ran out (a
+partial report), 4 an internal error (a bug; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,11 +13,27 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
 from .coeffs import ModuleVector, TrivialReals
-from .embedding import SearchBudget, calibrate_c, config_rational, seeded_rng, spec_from_json
+from .embedding import (
+    SearchBudget,
+    boolean,
+    calibrate_c,
+    checked,
+    config_boundary,
+    integer,
+    list_of,
+    obj,
+    one_of,
+    optional,
+    rational,
+    seeded_rng,
+    spec_from_json,
+    string,
+)
 from .errors import BudgetExhaustedError, ConfigError, QcextError, UnknownGeneratorError
 from .extension import asnec_demo, extend, extend_general, restriction_check
 from .groups import FreeGroup
@@ -38,19 +49,23 @@ from .qc import (
     tree_edge_cocycle,
 )
 from .scl import cl_upper, undistortion_pipeline, free_dist_experiment
-from .separating import separation_report
+from .separating import _resolve_c, separation_report
 from .suite import ball_domain, run_full_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 MAX_RADIUS = 4  # the largest ball radius a config may ask for
 MAX_SAMPLES = 10_000  # the largest sample count a config may ask for
 MAX_DEMO = 100  # the largest as-nec-demo n and k_max
 MAX_UPPER_N = 1_000  # the largest power of h an scl-bound upper checks
 MAX_ELEMENT_SIZE = 16  # the longest element calibrate-c samples
+MAX_NGON = 16  # the most sides of a calibrate-c polygon, one geodesic search each
+MAX_K = 1_000  # the largest distortion k (k = 1,000 takes 0.15 s, 3,000 1.6 s)
+MAX_C = 100  # the largest polygon constant: a run lists relative balls of radius 15C
 
 
 def tag(value, provenance: str) -> dict:
@@ -76,154 +91,120 @@ def vector_json(vec: ModuleVector) -> dict:
     return out
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing the required key {key!r}")
-    return config[key]
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
-
-
-def _budget(config: dict) -> SearchBudget | None:
-    if "budget" not in config:
-        return None
-    return SearchBudget.from_json(config["budget"])
-
-
-def _int(data: dict, key: str, default: int, top: int | None = None,
-         where: str = "") -> int:
-    """data[key], or default, as an integer: an int or a decimal string,
-    from 0 to `top` when that is given.  Errors name the key after the
-    prefix `where` of its enclosing keys."""
-    raw = data.get(key, default)
-    if not isinstance(raw, bool) and isinstance(raw, (int, str)):
-        try:
-            n = int(raw)
-        except ValueError:
-            pass
-        else:
-            if top is None or 0 <= n <= top:
-                return n
-            raise ConfigError(f"{where}{key} must be an integer from 0 to {top}, not {n}")
-    raise ConfigError(f"{where}{key} must be an integer, not {raw!r}")
 
 
 def _word(parser, text, key: str):
-    """parser.parse(str(text)), a ConfigError naming the key if it fails."""
+    """parser.parse(text), a ConfigError naming the key if it fails."""
     try:
-        return parser.parse(str(text))
+        return parser.parse(text)
     except UnknownGeneratorError as e:
         raise ConfigError(f"bad {key}: {e}") from None
 
 
-def _list(data: dict, key: str, what: str, item=lambda x: True, default=None) -> list:
-    """data[key], or default, as a list whose every entry passes `item`."""
-    value = data.get(key, default)
-    if not isinstance(value, list) or not all(map(item, value)):
-        raise ConfigError(f"{key} must be a list of {what}")
-    return value
-
-
-def _positive_int(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
-def _pair(p) -> bool:
-    return isinstance(p, list) and len(p) == 2
-
-
-def _spec(config: dict):
-    return spec_from_json(_require(config, "spec"))
-
-
 def build_input(spec, item: dict) -> tuple[str, QuasiCocycle]:
-    """One cocycle input from its config stanza."""
-    if not isinstance(item, dict):
-        raise ConfigError("each input must be an object")
-    kind = _require(item, "kind")
-    lam = item.get("lambda")
-    if lam is None:
-        if len(spec.lambdas()) != 1:
-            raise ConfigError("input needs a lambda label")
-        lam = spec.lambdas()[0]
-    if lam not in spec.lambdas():
-        raise ConfigError(f"unknown subgroup label {lam!r}")
+    """One cocycle input from its stanza, read through INPUTS."""
+    kind, lam, labels = item["kind"], item["lambda"], spec.lambdas()
+    if lam is None and len(labels) == 1:
+        lam = labels[0]
+    one_of(*labels)(lam, "inputs lambda")
+    factor = spec.factor(lam) if spec.family == "free_product" else None
+    if kind in ("brooks", "brooks-homogenized", "tree-edge") and not isinstance(factor, FreeGroup):
+        raise ConfigError(f"{kind} inputs target a free factor")
 
     if kind == "cyclic-homomorphism":
-        slope = config_rational(item, "slope", 1)
-        if spec.family == "free_product":
-            q = cyclic_homomorphism(spec, lam=lam, slope=slope)
-        else:
-            q = cyclic_homomorphism(spec, slope=slope)
+        q = cyclic_homomorphism(spec, lam, slope=item["slope"])
     elif kind == "step":
-        if spec.family != "free_rel_cyclic":
-            raise ConfigError("the step function lives on a relative cyclic subgroup")
         q = step_quasimorphism(spec)
-    elif kind in ("brooks", "brooks-homogenized"):
-        factor = spec.factor(lam) if spec.family == "free_product" else None
-        if not isinstance(factor, FreeGroup):
-            raise ConfigError(f"{kind} inputs target a free factor")
-        w = _word(factor, _require(item, "w"), "inputs w")
-        make = brooks if kind == "brooks" else brooks_homogenized
-        q = embed_on_factor(spec, lam, make(factor, w))
     elif kind == "tree-edge":
-        if spec.family != "free_product":
-            raise ConfigError("tree-edge inputs target a free factor")
-        q = tree_edge_cocycle(spec, lam, p=_int(item, "p", 2))
+        q = tree_edge_cocycle(spec, lam, p=item["p"])
     else:
-        raise ConfigError(f"unknown input kind {kind!r}")
-
-    if item.get("antisymmetrize"):
+        make = brooks if kind == "brooks" else brooks_homogenized
+        q = embed_on_factor(spec, lam, make(factor, _word(factor, item["w"], "inputs w")))
+    if item["antisymmetrize"]:
         q = antisymmetrize(q)
     return lam, q
 
 
-def build_inputs(spec, config: dict) -> dict:
-    items = _require(config, "inputs")
-    if not isinstance(items, list) or not items:
-        raise ConfigError("inputs must be a non-empty list")
-    out: dict[str, QuasiCocycle] = {}
-    for item in items:
-        lam, q = build_input(spec, item)
-        if lam in out:
-            raise ConfigError(f"duplicate input for label {lam!r}")
-        out[lam] = q
-    return out
+# -- config tables -----------------------------------------------------------------
+
+_INPUT_KEYS = {"lambda": (optional(string), None), "antisymmetrize": (optional(boolean), False)}
+INPUTS = {
+    "cyclic-homomorphism": {**_INPUT_KEYS, "slope": (rational, 1)},
+    "step": _INPUT_KEYS,
+    "brooks": {**_INPUT_KEYS, "w": (string, ...)},
+    "brooks-homogenized": {**_INPUT_KEYS, "w": (string, ...)},
+    "tree-edge": {**_INPUT_KEYS, "p": (integer(1), 2)},
+}
+_C = (optional(rational), None)
+_RUN = {"spec": (spec_from_json, ...), "c": _C, "budget": (SearchBudget.from_json, None)}
+_INPUTS = list_of(obj(INPUTS, "kind"), 1)
+_PAIRS = list_of(list_of(string, 2, 2))
+
+# Each command's keys (README mirrors these tables).
+COMMANDS = {
+    "extend": {**_RUN, "inputs": (_INPUTS, ...), "evaluate": (list_of(string), []),
+               "mode": (one_of("strict", "symmetrize"), "strict"),
+               "restriction_samples": (integer(0, MAX_SAMPLES), 20)},
+    "separating": {**_RUN, "pairs": (_PAIRS, ...), "lambdas": (optional(list_of(string)), None)},
+    "defect": {**_RUN, "inputs": (_INPUTS, ...),
+               "radius": (integer(0, MAX_RADIUS), 2), "samples": (integer(0, MAX_SAMPLES), 120)},
+    "calibrate-c": {"spec": _RUN["spec"], "budget": _RUN["budget"],
+                    "samples": (integer(0, MAX_SAMPLES), 200),
+                    "ngon_sizes": (list_of(integer(1, MAX_NGON, text=False), 1), [3, 4, 5, 6]),
+                    "element_size": (integer(0, MAX_ELEMENT_SIZE), 6)},
+    "as-nec-demo": {"n": (integer(0, MAX_DEMO), 1), "k_max": (integer(0, MAX_DEMO), 6)},
+    "scl-bound": {
+        **_RUN, "lambda": (string, ...), "h": (string, ...),
+        "phi": (obj({"brooks-homogenized": {"w": (string, ...)}}, "kind"), ...),
+        "y_gens": (optional(list_of(string)), None), "reference_scl_h": _C,
+        # upper.n reads from 0 here; cmd_scl_bound refuses 0 (h^0 bounds nothing)
+        "upper": (optional(obj({"n": (integer(0, MAX_UPPER_N), 1),
+                                "commutators": (_PAIRS, ...)})), None)},
+    "distortion": {"k_list": (list_of(integer(1, MAX_K, text=False)), list(range(1, 7)))},
+    "verify": {**_RUN, "inputs": (_INPUTS, None),
+               "samples": (integer(0, MAX_SAMPLES), 500), "radius": (integer(0, MAX_RADIUS), 3)},
+}
+
+
+def _read(config: dict, command: str) -> dict:
+    """The config read through COMMANDS[command], inputs built and c checked."""
+    with config_boundary():
+        cfg = checked(config, COMMANDS[command])
+        if cfg.get("inputs") is not None:
+            items, cfg["inputs"] = cfg["inputs"], {}
+            for lam, q in (build_input(cfg["spec"], item) for item in items):
+                if lam in cfg["inputs"]:
+                    raise ConfigError(f"duplicate input for label {lam!r}")
+                cfg["inputs"][lam] = q
+            if len({q.module for q in cfg["inputs"].values()}) > 1:
+                raise ConfigError("all inputs must share one coefficient module")
+        if "c" in cfg and _resolve_c(cfg["spec"], cfg["c"]) > MAX_C:
+            raise ConfigError(f"c (or else the spec's C) must be at most {MAX_C}")
+    return cfg
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
 
 def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
-    spec = _spec(config)
-    inputs = build_inputs(spec, config)
-    budget = _budget(config)
-    c = config_rational(config, "c")
-    mode = config.get("mode", "strict")
-    if mode == "strict":
-        result = extend(spec, inputs, c_value=c, budget=budget, seed=seed)
-    elif mode == "symmetrize":
-        result = extend_general(spec, inputs, c_value=c, budget=budget)
+    cfg = _read(config, "extend")
+    spec, inputs = cfg["spec"], cfg["inputs"]
+    points = [_word(spec, text, "evaluate") for text in cfg["evaluate"]]
+    if cfg["mode"] == "strict":
+        result = extend(spec, inputs, c_value=cfg["c"], budget=cfg["budget"], seed=seed)
     else:
-        raise ConfigError(f"unknown extend mode {mode!r}")
+        result = extend_general(spec, inputs, c_value=cfg["c"], budget=cfg["budget"])
 
-    values = []
-    for text in _list(config, "evaluate", "words", default=[]):
-        g = _word(spec, text, "evaluate")
-        values.append({"g": str(g), "iota": vector_json(result.iota(g))})
-    samples = _int(config, "restriction_samples", 20, MAX_SAMPLES)
-    restrictions = [restriction_check(result, lam, samples=samples, seed=seed)
+    values = [{"g": str(g), "iota": vector_json(result.iota(g))} for g in points]
+    restrictions = [restriction_check(result, lam, samples=cfg["restriction_samples"], seed=seed)
                     for lam in sorted(inputs)]
     payload = result.to_json()
     payload["certificate_tagged"] = tag(result.certificate.value,
@@ -234,16 +215,14 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def cmd_separating(config: dict, seed: int) -> tuple[dict, int]:
-    spec = _spec(config)
-    budget = _budget(config)
-    c = config_rational(config, "c")
-    lams = config.get("lambdas")
-    if lams is not None:
-        lams = _list(config, "lambdas", "subgroup labels", lambda lam: lam in spec.lambdas())
+    cfg = _read(config, "separating")
+    spec, lams = cfg["spec"], cfg["lambdas"]
+    if lams is not None and not set(lams) <= set(spec.lambdas()):
+        raise ConfigError("lambdas must be a list of subgroup labels")
+    pairs = [(_word(spec, f, "pairs"), _word(spec, g, "pairs")) for f, g in cfg["pairs"]]
     rows = []
-    for pair in _list(config, "pairs", "[f, g] pairs", _pair):
-        f, g = _word(spec, pair[0], "pairs"), _word(spec, pair[1], "pairs")
-        report = separation_report(spec, f, g, c_value=c, budget=budget, lams=lams)
+    for f, g in pairs:
+        report = separation_report(spec, f, g, c_value=cfg["c"], budget=cfg["budget"], lams=lams)
         for lam in sorted(report):
             sep = report[lam]
             data = sep.to_json()
@@ -253,16 +232,13 @@ def cmd_separating(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
-    spec = _spec(config)
-    inputs = build_inputs(spec, config)
-    budget = _budget(config)
-    result = extend(spec, inputs, c_value=config_rational(config, "c"), budget=budget, seed=seed)
+    cfg = _read(config, "defect")
+    spec = cfg["spec"]
+    result = extend(spec, cfg["inputs"], c_value=cfg["c"], budget=cfg["budget"], seed=seed)
 
-    radius = _int(config, "radius", 2, MAX_RADIUS)
-    samples = _int(config, "samples", 120, MAX_SAMPLES)
-    elements = ball_domain(spec, radius)
+    elements = ball_domain(spec, cfg["radius"])
     rng = seeded_rng(seed, "cli:defect")
-    for _ in range(samples):
+    for _ in range(cfg["samples"]):
         elements.append(spec.random_element(rng, 4))
     est = defect(result.iota, elements)
     ok = est.leq_exact(result.certificate.value)
@@ -278,18 +254,10 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
-    spec = _spec(config)
-    sizes = _list(config, "ngon_sizes", "positive integers", _positive_int, [3, 4, 5, 6])
-    if not sizes:
-        raise ConfigError("ngon_sizes must be non-empty")
-    report = calibrate_c(
-        spec,
-        samples=_int(config, "samples", 200, MAX_SAMPLES),
-        ngon_sizes=tuple(sizes),
-        seed=seed,
-        element_size=_int(config, "element_size", 6, MAX_ELEMENT_SIZE),
-        budget=_budget(config),
-    )
+    cfg = _read(config, "calibrate-c")  # its keys are calibrate_c's parameters
+    if cfg["spec"].family != "free_rel_cyclic":
+        raise ConfigError("calibrate-c samples the free_rel_cyclic family")
+    report = calibrate_c(seed=seed, **cfg)
     payload = report.to_json()
     payload["max_ratio"] = tag(report.max_ratio, "empirical-lower-bound")
     payload["note"] = (
@@ -300,67 +268,38 @@ def cmd_calibrate(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def cmd_asnec(config: dict, seed: int) -> tuple[dict, int]:
-    payload = asnec_demo(
-        n=_int(config, "n", 1, MAX_DEMO),
-        k_max=_int(config, "k_max", 6, MAX_DEMO),
-        seed=seed,
-    )
+    payload = asnec_demo(seed=seed, **_read(config, "as-nec-demo"))
     ok = payload["violation_grows"] and payload["symmetrized"]["defect_within_certificate"]
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
-    spec = _spec(config)
-    if spec.family != "free_product":
-        raise ConfigError("scl-bound transports along a free-product embedding")
-    lam = _require(config, "lambda")
-    if lam not in spec.lambdas():
-        raise ConfigError(f"unknown subgroup label {lam!r}")
-    factor = spec.factor(lam)
-    if not isinstance(factor, FreeGroup):
-        raise ConfigError("scl-bound transports from a free factor")
-    h = _word(factor, _require(config, "h"), "h")
-    phi_cfg = _require(config, "phi")
-    if not isinstance(phi_cfg, dict):
-        raise ConfigError("phi must be an object")
-    kind = _require(phi_cfg, "kind")
-    if kind == "brooks-homogenized":
-        phi = brooks_homogenized(factor, _word(factor, _require(phi_cfg, "w"), "phi w"))
-    elif kind == "cyclic-homomorphism":
-        raise ConfigError("a homomorphism vanishes on [H,H]; nothing to transport")
-    else:
-        raise ConfigError(f"unsupported phi kind {kind!r}")
-    y_gens = config.get("y_gens")
-    if y_gens is not None:
-        y_gens = [_word(factor, t, "y_gens") for t in _list(config, "y_gens", "words")]
-    upper_cfg = config.get("upper")
-    if upper_cfg is not None:
-        if not isinstance(upper_cfg, dict):
-            raise ConfigError("upper must be an object")
-        n = _int(upper_cfg, "n", 1, MAX_UPPER_N, "upper.")
-        if n < 1:
-            raise ConfigError("upper n must be a positive integer")
-        pairs = _list(upper_cfg, "commutators", "[u, v] pairs", _pair)
-    reference = config_rational(config, "reference_scl_h")
+    cfg = _read(config, "scl-bound")
+    with config_boundary():
+        spec, upper = cfg["spec"], cfg["upper"]
+        lam = one_of(*spec.lambdas())(cfg["lambda"], "lambda")
+        factor = spec.factor(lam) if spec.family == "free_product" else None
+        if not isinstance(factor, FreeGroup):
+            raise ConfigError("scl-bound transports from a free factor of a free product")
+        h = _word(factor, cfg["h"], "h")
+        phi = brooks_homogenized(factor, _word(factor, cfg["phi"]["w"], "phi w"))
+        y_gens = None if cfg["y_gens"] is None else [
+            _word(factor, t, "y_gens") for t in cfg["y_gens"]]
+        if upper is not None:
+            if upper["n"] < 1:
+                raise ConfigError("upper.n must be a positive integer")
+            comms = [(_word(spec, u, "upper commutators"), _word(spec, v, "upper commutators"))
+                     for u, v in upper["commutators"]]
 
     report = undistortion_pipeline(
         spec, lam, h, phi,
         y_gens=y_gens,
-        c_value=config_rational(config, "c"),
-        budget=_budget(config),
-        scl_h_reference=reference,
+        c_value=cfg["c"],
+        budget=cfg["budget"],
+        scl_h_reference=cfg["reference_scl_h"],
         seed=seed,
     )
     bound = report["bound"]
-    if upper_cfg is not None:
-        comms = [(_word(spec, u, "upper commutators"), _word(spec, v, "upper commutators"))
-                 for u, v in pairs]
-        target = spec.group.syllable(spec.names.index(lam), h)
-        count = cl_upper(spec.group, target**n, comms)
-        report["upper"] = {
-            "cl": tag(count, "exact"),
-            "scl_upper": tag(Fraction(count, n), "certified-upper-bound"),
-        }
     payload = {
         "g": report["g"],
         "lower": {
@@ -372,8 +311,14 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
         "restriction_consistent": report["restriction_consistent"],
         "conditional": report["conditional"],
     }
-    if "upper" in report:
-        payload["upper"] = report["upper"]
+    if upper is not None:
+        n = upper["n"]
+        target = spec.group.syllable(spec.names.index(lam), h)
+        count = cl_upper(spec.group, target**n, comms)
+        payload["upper"] = {
+            "cl": tag(count, "exact"),
+            "scl_upper": tag(Fraction(count, n), "certified-upper-bound"),
+        }
     if "scl_h_transport" in report:
         payload["scl_h_transport"] = report["scl_h_transport"]
     ok = report["restriction_consistent"]
@@ -381,25 +326,21 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def cmd_distortion(config: dict, seed: int) -> tuple[dict, int]:
-    k_list = _list(config, "k_list", "positive integers", _positive_int, list(range(1, 7)))
-    payload = free_dist_experiment(k_list, seed=seed)
+    payload = free_dist_experiment(seed=seed, **_read(config, "distortion"))
     ok = payload["distortion_witnessed"]
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_verify(config: dict, seed: int) -> tuple[dict, int]:
-    spec = _spec(config)
-    inputs = None
-    if "inputs" in config:
-        inputs = build_inputs(spec, config)
+    cfg = _read(config, "verify")
     payload = run_full_suite(
-        spec,
-        cocycles=inputs,
-        c_value=config_rational(config, "c"),
-        budget=_budget(config),
+        cfg["spec"],
+        cocycles=cfg["inputs"],
+        c_value=cfg["c"],
+        budget=cfg["budget"],
         seed=seed,
-        samples=_int(config, "samples", 500, MAX_SAMPLES),
-        radius=_int(config, "radius", 3, MAX_RADIUS),
+        samples=cfg["samples"],
+        radius=cfg["radius"],
     )
     return payload, EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 
@@ -467,6 +408,9 @@ def main(argv=None) -> int:
     except QcextError as e:
         sys.stderr.write(f"check failed: {e}\n")
         return EXIT_CHECK_FAILED
+    except Exception:
+        sys.stderr.write(f"internal error:\n{traceback.format_exc()}")
+        return EXIT_INTERNAL
 
     envelope["timings"] = {"total_s": round(time.monotonic() - started, 3)}
     _emit(envelope, args.out)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
@@ -31,6 +32,7 @@ from .errors import (
     ConfigError,
     DomainError,
     MixedContextError,
+    QcextError,
 )
 from .groups import (
     FiniteTableGroup,
@@ -142,20 +144,9 @@ class SearchBudget:
     slack: int = 2
 
     @staticmethod
-    def from_json(data: dict) -> SearchBudget:
-        if not isinstance(data, dict):
-            raise ConfigError("budget must be an object")
-        for key in _BUDGET_KEYS:
-            v = data.get(key, 0)
-            if not isinstance(v, int) or v < 0:
-                raise ConfigError(f"budget.{key} must be a nonnegative integer")
-        extra = set(data) - set(_BUDGET_KEYS)
-        if extra:
-            raise ConfigError(f"unknown budget keys {sorted(extra)}")
-        return SearchBudget(**data)
-
-
-_BUDGET_KEYS = tuple(f.name for f in fields(SearchBudget))
+    def from_json(data: dict, where: str = "budget") -> SearchBudget:
+        """A budget from its JSON form, read through BUDGET."""
+        return SearchBudget(**checked(data, BUDGET, where))
 
 
 INFINITE = "infinite"
@@ -509,80 +500,141 @@ class FreeRelCyclicSpec:
         return self.subgroup_element(rng.randint(-size, size))
 
 
-EmbeddingSpec = FreeProductPairSpec | FreeRelCyclicSpec
+# -- config schema --------------------------------------------------------------
+#
+# A table maps each key of a JSON object to (rule, default).  rule(value, path)
+# reads a value or raises a ConfigError naming `path`, its place in the config
+# ("upper.n", "inputs[0].w").  An absent key reads as its default, and a
+# default of ... (Ellipsis) marks a key that must be given.
+
+MAX_ORDER = 100  # the most elements of a finite factor: its axiom check is cubic
 
 
-def config_rational(data: dict, key: str, default=None) -> Fraction | None:
-    """data[key], or default, as an exact rational (None if neither is set):
-    an int or a string like "4/3" or "0.25", never a float or a bool."""
-    raw = data.get(key, default)
-    if raw is None:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ConfigError(f'bad {key} {raw!r}: give an integer or a string like "4/3"')
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad {key} {raw!r}: {e}") from None
-
-
-def spec_from_json(data: dict):
-    """Build an embedding spec from its JSON form (CLI configs)."""
+def checked(data, table: dict, where: str = "") -> dict:
+    """data read through `table`.  Undeclared keys are refused after the
+    declared ones are read, so a declared key's own message comes first."""
     if not isinstance(data, dict):
-        raise ConfigError("embedding must be an object")
-    family = data.get("family")
-    budget = SearchBudget.from_json(data["budget"]) if "budget" in data else None
-    c_val = config_rational(data, "C")
-    if family == "free_product":
-        if c_val is not None:
-            raise ConfigError(
-                'free_product takes no "C" (its polygon constant is 0); '
-                'set the run-level "c" key instead'
-            )
-        factors = data.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise ConfigError("free_product needs a nonempty factors list")
-        built = []
-        for f in factors:
-            if not isinstance(f, dict):
-                raise ConfigError("factor must be an object")
-            if f.get("kind") == "free":
-                gens = f.get("gens")
-                if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-                    raise ConfigError("free factor needs a gens list of strings")
-                built.append(FreeGroup(gens))
-            elif f.get("kind") == "cyclic":
-                order = f.get("order")
-                if not isinstance(order, int) or order < 1:
-                    raise ConfigError("cyclic factor needs a positive order")
-                built.append(cyclic_group(order, f.get("sym", "g")))
-            elif f.get("kind") == "table":
-                names, table = f.get("names"), f.get("table")
-                if not isinstance(names, list) or not isinstance(table, list):
-                    raise ConfigError("table factor needs names and table")
-                built.append(FiniteTableGroup(names, table))
-            else:
-                raise ConfigError(f"unknown factor kind {f.get('kind')!r}")
+        raise ConfigError(f"{where or 'config'} must be an object, not {data!r}")
+    out = {}
+    for key, (rule, default) in table.items():
+        path = f"{where}.{key}" if where else key
+        if key in data:
+            out[key] = rule(data[key], path)
+        elif default is ...:
+            raise ConfigError(f"missing the required key {path}")
+        else:
+            out[key] = default
+    unknown = sorted(f"{where}.{key}" if where else key for key in data if key not in table)
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    return out
+
+
+@contextmanager
+def config_boundary():
+    """Building objects from a config is part of checking it: a QcextError
+    raised here (a bad group table, an input on the wrong factor) is a ConfigError."""
+    try:
+        yield
+    except QcextError as e:  # a ConfigError passes through with its message
+        raise ConfigError(str(e)) from e
+
+
+def _rule(what: str, read):
+    """The rule read(value), refusing a value as not `what` where it raises."""
+    def rule(value, path):
         try:
-            return FreeProductPairSpec(FreeProduct(built), names=data.get("names"), budget=budget)
-        except DomainError as e:
-            raise ConfigError(str(e)) from None
-    if family == "free_rel_cyclic":
-        gens = data.get("gens")
-        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-            raise ConfigError("free_rel_cyclic needs a gens list of strings")
-        w_text = data.get("w")
-        if not isinstance(w_text, str):
-            raise ConfigError("free_rel_cyclic needs a word w")
-        group = FreeGroup(gens)
-        try:
-            w = group.parse(w_text)
-            return FreeRelCyclicSpec(group, w, c_value=c_val, budget=budget)
-        except (DomainError, MixedContextError) as e:
-            raise ConfigError(str(e)) from None
-        except Exception as e:
-            raise ConfigError(f"bad w: {e}") from None
-    raise ConfigError(f"unknown family {family!r}")
+            return read(value)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{path} must be {what}, not {value!r}") from None
+    return rule
+
+
+def _valid(ok: bool, value):
+    if not ok:
+        raise ValueError(value)
+    return value
+
+
+string = _rule("a string", lambda v: _valid(isinstance(v, str), v))
+boolean = _rule("true or false", lambda v: _valid(isinstance(v, bool), v))
+# an int or a string like "4/3" or "0.25", read exactly: never a float or a bool
+rational = _rule('an integer or a string like "4/3"',
+                 lambda v: Fraction(_valid(type(v) in (int, str), v)))
+
+
+def one_of(*choices: str):
+    return _rule(f"one of {', '.join(choices)}", lambda v: _valid(v in choices, v))
+
+
+def optional(rule):
+    """rule, with null read as absent (None)."""
+    return lambda value, path: None if value is None else rule(value, path)
+
+
+def integer(lo: int = 0, hi: int | None = None, text: bool = True):
+    """An integer from lo to hi (None: no top), or with `text` a decimal string."""
+    def read(value):
+        n = int(value) if text and isinstance(value, str) else value
+        return _valid(type(n) is int and lo <= n and (hi is None or n <= hi), n)
+    return _rule(f"an integer from {lo}" + ("" if hi is None else f" to {hi}"), read)
+
+
+def list_of(item, least: int = 0, most: int | None = None):
+    """A list of `least` to `most` entries, each read by the rule `item`."""
+    what = f"a list of {least} to {most}" if most else f"a list of at least {least}"
+    whole = _rule(what + " entries", lambda v: _valid(
+        type(v) is list and least <= len(v) and (most is None or len(v) <= most), v))
+    return lambda value, path: [item(v, f"{path}[{i}]") for i, v in enumerate(whole(value, path))]
+
+
+def obj(tables: dict, tag: str | None = None):
+    """A nested object read through its table; with a `tag`, that key names
+    its kind, and `tables` maps each kind to the table of its other keys."""
+    if tag is None:
+        return lambda value, path: checked(value, tables, path)
+    kinds = one_of(*tables)
+
+    def rule(value, path):
+        kind = value.get(tag) if isinstance(value, dict) else None
+        table = tables.get(kind, {}) if isinstance(kind, str) else {}
+        return checked(value, {tag: (kinds, ...), **table}, path)
+    return rule
+
+
+BUDGET = {f.name: (integer(text=False), f.default) for f in fields(SearchBudget)}
+FACTORS = {
+    "free": {"gens": (list_of(string), ...)},
+    "cyclic": {"order": (integer(1, MAX_ORDER, text=False), ...), "sym": (string, "g")},
+    "table": {"names": (list_of(string, 1, MAX_ORDER), ...),
+              "table": (list_of(list_of(integer(text=False))), ...)},
+}
+_GROUPS = {"free": FreeGroup, "cyclic": cyclic_group, "table": FiniteTableGroup}
+_NO_C = 'null: a free product\'s polygon constant is 0 (set the run-level "c" key instead)'
+SPECS = {
+    "free_product": {
+        "factors": (list_of(obj(FACTORS, "kind"), 1), ...),
+        # FreeProductPairSpec checks them: one distinct string per factor
+        "names": (lambda value, path: value, None),
+        "C": (_rule(_NO_C, lambda v: _valid(v is None, v)), None),
+        "budget": (SearchBudget.from_json, None),
+    },
+    "free_rel_cyclic": {"gens": (list_of(string), ...), "w": (string, ...),
+                        "C": (optional(rational), None), "budget": (SearchBudget.from_json, None)},
+}
+
+
+def spec_from_json(data: dict, where: str = "spec"):
+    """Build an embedding spec from its JSON form (CLI configs), read through SPECS."""
+    with config_boundary():
+        spec = obj(SPECS, "family")(data, where)
+        if spec["family"] == "free_product":
+            factors = [_GROUPS[f.pop("kind")](**f) for f in spec["factors"]]
+            return FreeProductPairSpec(FreeProduct(factors), names=spec["names"],
+                                       budget=spec["budget"])
+        group = FreeGroup(spec["gens"])
+        return FreeRelCyclicSpec(group, group.parse(spec["w"]), c_value=spec["C"],
+                                 budget=spec["budget"])
 
 
 # -- empirical calibration of the polygon constant -----------------------------

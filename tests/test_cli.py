@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from qcext.cli import (
-    MAX_DEMO, MAX_ELEMENT_SIZE, MAX_RADIUS, MAX_SAMPLES, MAX_UPPER_N, main, tag,
+    COMMANDS, HANDLERS, MAX_C, MAX_DEMO, MAX_ELEMENT_SIZE, MAX_K, MAX_NGON, MAX_RADIUS, MAX_SAMPLES,
+    MAX_UPPER_N, main, tag,
 )
+from qcext.embedding import MAX_ORDER
 from qcext.errors import ConfigError
 
 FP_SPEC = {
@@ -475,3 +479,156 @@ def test_tag_rejects_unknown_provenance():
     with pytest.raises(ConfigError):
         tag(1, "vibes")
     assert tag(1, "exact") == {"value": "1", "provenance": "exact"}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("extend", {"spec": BIG_FP_SPEC, "inputs": [{"kind": "tree-edge", "lambda": "A", "p": 0}]},
+     "inputs[0].p must be an integer from 1"),
+    ("extend", {"spec": BIG_FP_SPEC, "inputs": [{"kind": "cyclic-homomorphism", "lambda": "A"}]},
+     "infinite cyclic factor"),
+    ("extend", {"spec": Z3_TIMES_T, "inputs": [{"kind": "tree-edge", "lambda": "A"}]},
+     "free factor"),
+    ("calibrate-c", {"spec": BIG_FP_SPEC, "samples": 2}, "free_rel_cyclic"),
+    ("extend", {"spec": {**Z2_TIMES_T, "factors": [
+        {"kind": "table", "names": ["1", "s"], "table": [[0, 1], [1, 2]]},
+        {"kind": "free", "gens": ["t"]}]}, "inputs": [{"kind": "cyclic-homomorphism", "lambda": "B"}]},
+     "out of range"),
+    ("extend", {"spec": {**Z3_TIMES_T, "factors": [{"kind": "cyclic", "order": 3, "sym": 5},
+                                                   {"kind": "free", "gens": ["t"]}]},
+                "inputs": [{"kind": "cyclic-homomorphism", "lambda": "B"}]},
+     "spec.factors[0].sym must be a string"),
+    ("verify", {"spec": {"family": "free_rel_cyclic", "gens": ["x", "y"], "w": "x y"},
+                "samples": 2, "radius": 1}, "no polygon constant"),
+    ("extend", {"spec": REL_SPEC, "c": "-1", "inputs": [{"kind": "cyclic-homomorphism"}]},
+     "C must be nonnegative"),
+    ("defect", {"spec": BIG_FP_SPEC, "inputs": [{"kind": "brooks", "lambda": "A", "w": "x y"},
+                                                {"kind": "tree-edge", "lambda": "B"}]},
+     "one coefficient module"),
+], ids=["tree-edge-p-0", "homomorphism-on-F2", "tree-edge-on-cyclic", "calibrate-free-product",
+        "bad-table", "sym-not-a-string", "no-polygon-constant", "negative-c", "mixed-modules"])
+def test_config_problems_found_while_building_exit_2(tmp_path, capsys, command, config, message):
+    # each of these exited 1, "check failed", or raised, before any check ran
+    code, report = run_cli(tmp_path, command, config)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("verify", {"spec": REL_SPEC, "sampels": 3}, "unknown keys: sampels"),
+    ("extend", {"spec": REL_SPEC, "inputs": [{"kind": "step", "slope": 2}]},
+     "unknown keys: inputs[0].slope"),
+    ("extend", {"spec": {**FP_SPEC, "budget": {"max_vertices": 10, "bogus": 1}},
+                "inputs": [{"kind": "cyclic-homomorphism", "lambda": "A"}]},
+     "unknown keys: spec.budget.bogus"),
+    ("defect", {"spec": REL_SPEC, "inputs": [{"kind": "step", "antisymmetrize": "no"}]},
+     "inputs[0].antisymmetrize must be true or false"),
+    ("extend", {"spec": {**Z3_TIMES_T, "factors": [{"kind": "cyclic", "order": MAX_ORDER + 1},
+                                                   {"kind": "free", "gens": ["t"]}]},
+                "inputs": [{"kind": "cyclic-homomorphism", "lambda": "B"}]},
+     f"spec.factors[0].order must be an integer from 1 to {MAX_ORDER}"),
+    ("extend", {"spec": {**Z2_TIMES_T, "factors": [
+        {"kind": "table", "names": ["1"] * (MAX_ORDER + 1), "table": []},
+        {"kind": "free", "gens": ["t"]}]}, "inputs": [{"kind": "cyclic-homomorphism", "lambda": "B"}]},
+     f"spec.factors[0].names must be a list of 1 to {MAX_ORDER} entries"),
+    ("distortion", {"k_list": [1, MAX_K + 1]}, f"k_list[1] must be an integer from 1 to {MAX_K}"),
+    ("calibrate-c", {**CALIBRATE_CONFIG, "ngon_sizes": [MAX_NGON + 1]},
+     f"ngon_sizes[0] must be an integer from 1 to {MAX_NGON}"),
+    ("verify", {"spec": {**REL_SPEC, "C": str(MAX_C + 1)}, "samples": 2, "radius": 1},
+     f"must be at most {MAX_C}"),
+], ids=["unknown-key", "unknown-input-key", "unknown-budget-key", "antisymmetrize-string",
+        "cyclic-order", "table-size", "distortion-k", "ngon-size", "polygon-constant"])
+def test_misread_and_unbounded_keys_exit_2_naming_the_key(tmp_path, capsys, command, config,
+                                                          message):
+    # before the config tables these ran: a misspelt key silently took its
+    # default, "no" switched antisymmetrization on, and nothing bounded these sizes
+    code, report = run_cli(tmp_path, command, config)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+
+
+def test_an_internal_error_exits_4_with_its_traceback(tmp_path, capsys, monkeypatch):
+    def broken(config, seed):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(HANDLERS, "verify", broken)
+    code, report = run_cli(tmp_path, "verify", {"spec": REL_SPEC})
+    assert code == 4 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "Traceback" in err and "RuntimeError: a bug" in err
+
+
+FUZZ_BASES = [
+    ("extend", {"spec": {"family": "free_product",
+                        "factors": [{"kind": "free", "gens": ["a"]},
+                                    {"kind": "cyclic", "order": 2, "sym": "s"},
+                                    {"kind": "table", "names": ["1", "u"], "table": [[0, 1], [1, 0]]}],
+                        "names": ["A", "S", "U"], "budget": {"max_depth": 8}},
+               "inputs": [{"kind": "cyclic-homomorphism", "lambda": "A", "slope": "1/2",
+                           "antisymmetrize": False}],
+               "evaluate": ["a s u a"], "mode": "strict", "c": "0", "restriction_samples": 2}),
+    ("extend", {"spec": BIG_FP_SPEC, "inputs": [{"kind": "tree-edge", "lambda": "A", "p": 2}],
+                "evaluate": ["x t"], "mode": "symmetrize"}),
+    ("separating", {"spec": FP_SPEC, "pairs": [["1", "a b"]], "lambdas": ["A"], "c": "0"}),
+    ("defect", {"spec": BIG_FP_SPEC, "inputs": [{"kind": "brooks", "lambda": "A", "w": "x y"},
+                                                {"kind": "cyclic-homomorphism", "lambda": "B"}],
+                "radius": 1, "samples": 2}),
+    ("calibrate-c", {"spec": {**REL_SPEC, "C": "0", "budget": {"max_vertices": 2000}},
+                     "samples": 2, "ngon_sizes": [3], "element_size": 2}),
+    ("as-nec-demo", {"n": 1, "k_max": 2}),
+    ("scl-bound", {**SCL_CONFIG, "y_gens": ["x", "y"], "reference_scl_h": "1/2",
+                   "upper": {"n": 1, "commutators": [["x", "y"]]}}),
+    ("distortion", {"k_list": [1, 2]}),
+    ("verify", {"spec": {**REL_SPEC, "C": "0", "budget": {"max_vertices": 2000}},
+                "inputs": [{"kind": "step", "antisymmetrize": True}], "samples": 2, "radius": 1}),
+]
+FUZZ_VALUES = [None, 0, -1, 2.5, True, "zz", "", [], {}, [1], {"a": 1}, "1/0", 10**6]
+
+
+def _key_paths(node, path=()):
+    """Every key path into a config: object keys and list indices."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys):
+    # every key path of small working configs, one or two per command, deleted
+    # or set to each value above: the 2,408 configs run in about 6 s, so none
+    # is sampled out
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    for command, base in FUZZ_BASES:
+        cfg.write_text(json.dumps(base))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+        for path in _key_paths(base):
+            for value in ("<delete>", *FUZZ_VALUES):
+                config = json.loads(json.dumps(base))
+                node = config
+                for key in path[:-1]:
+                    node = node[key]
+                if value == "<delete>":
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                cfg.write_text(json.dumps(config))
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (command, path, value, err)
+
+
+def test_readme_lists_each_commands_keys():
+    # README's per-command tables mirror COMMANDS, key for key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed, command = {}, None
+    for line in readme.splitlines():
+        if line.startswith("#"):
+            heading = re.fullmatch(r"#### `([a-z-]+)`", line)
+            command = heading.group(1) if heading else None
+            if command:
+                listed[command] = set()
+        elif command and (row := re.match(r"\| `(\w+)` \|", line)):
+            listed[command].add(row.group(1))
+    assert listed == {name: set(table) for name, table in COMMANDS.items()}
