@@ -36,7 +36,8 @@ from .embedding import (
 )
 from .errors import BudgetExhaustedError, ConfigError, QcextError, UnknownGeneratorError
 from .extension import asnec_demo, extend, extend_general, restriction_check
-from .groups import FreeGroup
+from .geodesics import ball_domain
+from .groups import FreeGroup, exponent_vector
 from .qc import (
     QuasiCocycle,
     antisymmetrize,
@@ -48,9 +49,15 @@ from .qc import (
     step_quasimorphism,
     tree_edge_cocycle,
 )
-from .scl import cl_upper, undistortion_pipeline, free_dist_experiment
+from .scl import (
+    SclBound,
+    cl_upper,
+    free_dist_experiment,
+    nice_generating_set,
+    undistortion_pipeline,
+)
 from .separating import _resolve_c, separation_report
-from .suite import ball_domain, run_full_suite
+from .suite import run_full_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,7 +76,9 @@ MAX_C = 100  # the largest polygon constant: a run lists relative balls of radiu
 
 
 def tag(value, provenance: str) -> dict:
-    """Report numerics always travel with a provenance label."""
+    """Report numerics always travel with a provenance label.  The label is
+    chosen by the code, never by a config, so an unknown one is a bug: a
+    ValueError, which exits 4."""
     if provenance not in (
         "exact",
         "empirical-lower-bound",
@@ -77,7 +86,7 @@ def tag(value, provenance: str) -> dict:
         "certified-upper-bound",
         "external-reference",
     ):
-        raise ConfigError(f"unknown report provenance {provenance!r}")
+        raise ValueError(f"unknown report provenance {provenance!r}")
     return {"value": str(value), "provenance": provenance}
 
 
@@ -282,9 +291,14 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
         if not isinstance(factor, FreeGroup):
             raise ConfigError("scl-bound transports from a free factor of a free product")
         h = _word(factor, cfg["h"], "h")
+        if any(exponent_vector(h).values()):
+            raise ConfigError("h must lie in the commutator subgroup of the factor")
         phi = brooks_homogenized(factor, _word(factor, cfg["phi"]["w"], "phi w"))
         y_gens = None if cfg["y_gens"] is None else [
             _word(factor, t, "y_gens") for t in cfg["y_gens"]]
+        # the adjusted phi subtracts a homomorphism fixed on y_gens' span
+        if y_gens is not None and len(nice_generating_set(factor, y_gens).y1) < len(factor.gens):
+            raise ConfigError("y_gens must span the factor's abelianization")
         if upper is not None:
             if upper["n"] < 1:
                 raise ConfigError("upper.n must be a positive integer")
@@ -313,11 +327,12 @@ def cmd_scl_bound(config: dict, seed: int) -> tuple[dict, int]:
     }
     if upper is not None:
         n = upper["n"]
-        target = spec.group.syllable(spec.names.index(lam), h)
-        count = cl_upper(spec.group, target**n, comms)
+        count = cl_upper(spec.group, bound.g**n, comms)
+        # SclBound refuses a lower bound above the upper: a CertificateError
+        bound = SclBound(bound.g, bound.lower, bound.lower_witness, Fraction(count, n))
         payload["upper"] = {
             "cl": tag(count, "exact"),
-            "scl_upper": tag(Fraction(count, n), "certified-upper-bound"),
+            "scl_upper": tag(bound.upper, "certified-upper-bound"),
         }
     if "scl_h_transport" in report:
         payload["scl_h_transport"] = report["scl_h_transport"]

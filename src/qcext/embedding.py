@@ -285,30 +285,23 @@ class FreeProductPairSpec:
         raw = ()  # the normal form, one nontrivial syllable at a time
         prev = -1
         for _ in range(n):
-            choices = [i for i in range(len(self.group.factors)) if i != prev]
-            i = rng.choice(choices)
-            h = self.random_factor_element(i, rng)
-            if h is None:
-                continue
-            raw = self.group.raw_mul(raw, ((i, self.group.factors[i].unwrap(h)),))
-            prev = i
+            i = rng.choice([j for j in range(len(self.group.factors)) if j != prev])
+            syllable = self.random_subgroup_element(self.names[i], rng).raw
+            if syllable:
+                raw = self.group.raw_mul(raw, syllable)
+                prev = i
         return self.group.wrap(raw)
 
-    def random_factor_element(self, idx: int, rng: random.Random, size: int = 3):
-        """A nontrivial element of the chosen factor, or None if impossible."""
+    def random_subgroup_element(self, lam: str, rng: random.Random, size: int = 3):
+        """A nontrivial element of the factor lam, or 1 if the factor is trivial."""
+        idx = self._index[lam]
         factor = self.group.factors[idx]
         if isinstance(factor, FreeGroup):
-            return factor.random_word(rng, rng.randint(1, size))
+            return self.group.syllable(idx, factor.random_word(rng, rng.randint(1, size)))
         n = len(factor.names)
         if n < 2:
-            return None
-        return factor.elements()[rng.randrange(1, n)]
-
-    def random_subgroup_element(self, lam: str, rng: random.Random, size: int = 3):
-        h = self.random_factor_element(self._index[lam], rng, size)
-        if h is None:
             return self.identity()
-        return self.group.syllable(self._index[lam], h)
+        return self.group.syllable(idx, factor.elements()[rng.randrange(1, n)])
 
 
 class FreeRelCyclicSpec:

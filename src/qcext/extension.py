@@ -27,17 +27,18 @@ essential, none is excluded or uncertain, and
 with the new coset's one pair (p, g) and step h; the trivial clause
 (g in H_lam, so p = 1) gives the same coset and pair.  Summing the averaged
 values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
-and iota(g) = iota(p) otherwise.  The evaluator runs on g's normal form,
-which keys iota's memo: it walks down it once to the deepest prefix slice
-in the memo (or to 1), one probe per slice, then sums upward once and
-writes each slice's value into the memo without re-entering iota; a zero
-step shares its vector (v + 0 is v), and only an indexed module's act
-gets the prefix built as an element.  The writes skip iota's module check
-at no cost: every term is a value of an input q, each input checks its own
-module, and all inputs share one.  A generic w separates (1, g) afresh, and
-so does a basis w with 3C >= 1: there the trivial clause separates x at
-width 1 while the block x of y x is excluded, so S_lam(1, .) is not
-prefix-closed.  The choice depends only on the family and on C.
+and iota(g) = iota(p) otherwise.  iota's function reads g's normal form,
+which keys iota's memo, and the evaluator runs on it: it walks down it once
+to the deepest prefix slice in the memo (or to 1), one probe per slice, then
+sums upward once and writes each slice's value into the memo without
+re-entering iota; a zero step shares its vector (v + 0 is v), and only an
+indexed module's act gets the prefix built as an element.  The writes skip
+iota's module check at no cost: every term is a value of an input q, each
+input checks its own module, and all inputs share one.  A generic w
+separates (1, g) afresh, and so does a basis w with 3C >= 1: there the
+trivial clause separates x at width 1 while the block x of y x is excluded,
+so S_lam(1, .) is not prefix-closed.  The choice depends only on the family
+and on C.
 
 Inputs must be antisymmetric (declared and spot-checked).  `asnec_demo`
 runs the raw pipeline on a deliberately one-sided input to exhibit the
@@ -266,12 +267,13 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         total_cert += 54 * kval + 66 * q.certified_defect.value
 
     evaluate, module = _combed_evaluator(spec, cocycles, c, budget)
+    unwrap = spec.group.unwrap
     all_exact = all(q.exact_cocycle for q in cocycles.values())
     iota = QuasiCocycle(
         name,
         spec.group,
         module,
-        lambda raw: evaluate(result, raw),
+        lambda g: evaluate(result, unwrap(g)),
         antisymmetric=all(q.antisymmetric for q in cocycles.values()),
         homogeneous=False,
         # On free products the combing follows the syllable normal form, so
@@ -282,7 +284,6 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
             "extension-certificate",
             "sum over subgroups of 54*K + 66*D",
         ),
-        on_normal_forms=True,
     )
     result = ExtensionResult(
         spec=spec,

@@ -60,7 +60,9 @@ and a basis `distance_map`) builds a layer of code tuples at a time, each
 with its block count, and the generic `distance_map` keeps the sweep's
 vertices that fit its radius; both turn code tuples into words with
 `groups._trusted_words`, a whole list per call, rather than one
-`FreeWord(group, codes)` per word.
+`FreeWord(group, codes)` per word.  `ball_domain` is the one ball of a
+spec: `free_ball_words` on a free group, and on a free product a
+breadth-first sweep over normal forms.
 """
 
 from __future__ import annotations
@@ -374,6 +376,38 @@ def free_ball_words(group: FreeGroup, radius: int) -> Iterable[FreeWord]:
     if radius < 0:
         raise DomainError("radius must be nonnegative")
     return iter(_block_counts(group, radius, -1))
+
+
+def ball_domain(spec, radius: int) -> list:
+    """The full ball of the given radius in the standard word metric of the
+    spec's group, breadth-first: `free_ball_words` on a free group; on a
+    free product, the products of at most `radius` moves, each a free
+    factor's generator or its inverse or a finite factor's nontrivial
+    element, built on normal forms."""
+    group = spec.group
+    if spec.family == "free_rel_cyclic":
+        return list(free_ball_words(group, radius))
+    if radius < 0:
+        raise DomainError("radius must be nonnegative")
+    moves = []
+    for idx, factor in enumerate(group.factors):
+        if isinstance(factor, FreeGroup):
+            elems = [w for g in factor.generators() for w in (g, g.inverse())]
+        else:  # a finite factor: element 0 is the identity
+            elems = factor.elements()[1:]
+        moves += [((idx, factor.unwrap(e)),) for e in elems]
+    mul = group.raw_mul
+    ball, frontier = {(): None}, [()]  # normal forms, an ordered set
+    for _ in range(radius):
+        nxt = []
+        for a in frontier:
+            for s in moves:
+                h = mul(a, s)
+                if h not in ball:
+                    ball[h] = None
+                    nxt.append(h)
+        frontier = nxt
+    return list(map(group.wrap, ball))
 
 
 def _block_counts(group: FreeGroup, radius: int, wgen: int) -> dict:

@@ -628,30 +628,6 @@ def commutator(a, b):
     return a.inverse() * b.inverse() * a * b
 
 
-def enumerate_ball(identity, generators: Sequence, radius: int):
-    """All products of at most `radius` of the given generators, BFS order.
-
-    The generator list is used as given; pass inverses explicitly if a
-    symmetric ball is wanted.
-    """
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                h = g * s
-                if h not in seen:
-                    seen.add(h)
-                    order.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return order
-
-
 def exponent_vector(word: FreeWord) -> dict[str, int]:
     """Abelianization of a free-group word."""
     out = {g: 0 for g in word.group.gens}

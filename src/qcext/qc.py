@@ -102,10 +102,10 @@ class QuasiCocycle:
     exact_cocycle); downstream code may spot-check them but never infers
     them from samples.
 
-    The memo is keyed by normal form (`group.unwrap`) for elements of q's
-    group or an equal one, so a probe runs no Python frame; elements of
-    other groups are kept apart, keyed by element.  With `on_normal_forms`
-    fn takes normal forms, and other groups raise MixedContextError.
+    The memo is keyed by normal form (`group.unwrap`), so a probe runs no
+    Python frame.  q takes elements of its group or of an equal one (a spec
+    built twice), which share the memo; an element of any other group
+    raises MixedContextError before the memo is read.  fn takes the element.
     """
 
     def __init__(
@@ -118,7 +118,6 @@ class QuasiCocycle:
         homogeneous: bool = False,
         exact_cocycle: bool = False,
         certified_defect: CertifiedBound | None = None,
-        on_normal_forms: bool = False,
     ):
         self.name = name
         self.group = group
@@ -128,27 +127,22 @@ class QuasiCocycle:
         self.homogeneous = homogeneous
         self.exact_cocycle = exact_cocycle
         self.certified_defect = certified_defect
-        self._on_normal_forms = on_normal_forms
         self._twin = group  # the last group found equal to q's
-        self._memo: dict = {}  # normal form -> value, for q's group
-        self._foreign: dict = {}  # element -> value, for any other group
+        self._memo: dict = {}  # normal form -> value
 
     def __call__(self, g) -> ModuleVector:
         group = g.group
-        if group is not self.group and group is not self._twin and group == self.group:
+        if group is not self.group and group is not self._twin:
+            if group != self.group:
+                raise MixedContextError(f"{self.name} takes elements of its own group")
             self._twin = group  # groups are immutable: the next test is `is`
-        if group is self.group or group is self._twin:
-            memo, key = self._memo, group.unwrap(g)
-        elif self._on_normal_forms:
-            raise MixedContextError(f"{self.name} takes elements of its own group")
-        else:
-            memo, key = self._foreign, g
-        v = memo.get(key)  # values are ModuleVectors, never None
+        key = group.unwrap(g)
+        v = self._memo.get(key)  # values are ModuleVectors, never None
         if v is None:
-            v = self._fn(key if self._on_normal_forms else g)
+            v = self._fn(g)
             if v.module is not self.module and v.module != self.module:
                 raise MixedContextError(f"{self.name} produced a vector in a foreign module")
-            memo[key] = v
+            self._memo[key] = v
         return v
 
     def scalar_value(self, g) -> Fraction:
@@ -221,15 +215,15 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     """Scan ||q(fg) - q(f) - f.q(g)|| over elements x elements and keep the
     exact maximum p-th power with its first witness in row-major order.
 
-    The scan runs on normal forms.  Every element must lie in one group
-    (MixedContextError otherwise) and is unwrapped once; the group's
-    `raw_rows` gives each row's products, so no product element is built or
-    hashed and only a product that reduces costs a Python call.  Products
-    are looked up in a table from normal form to value, seeded from q's
-    memo (keyed by normal form already) when the scan's group is q's or
-    equal to it, else from the scanned elements, whose values q keeps apart.
-    A product missing from the table is wrapped once and evaluated through
-    q (and so memoized), in row-major order.
+    The scan runs on normal forms.  Every element must lie in q's group or
+    an equal one (MixedContextError otherwise, before q's memo is touched)
+    and is unwrapped once; the group's `raw_rows` gives each row's
+    products, so no product element is built or hashed and only a product
+    that reduces costs a Python call.  Products are looked up in a table
+    from normal form to value, seeded from q's memo (keyed by normal form
+    already) once every element is evaluated.  A product missing from the
+    table is wrapped once and evaluated through q (and so memoized), in
+    row-major order.
 
     Over TrivialReals (p = 1) the pass is integer arithmetic: the seed reads
     each value once and scales it to an integer over the common denominator
@@ -244,14 +238,16 @@ def defect(q: QuasiCocycle, elements) -> DefectEstimate:
     for e in elements:
         if e.group is not group and e.group != group:
             raise MixedContextError("defect scan over elements of different groups")
-    values = [q(e) for e in elements]
+    if group is not q.group and group != q.group:
+        raise MixedContextError(f"{q.name} takes elements of its own group")
+    for e in elements:
+        q(e)
     scalar = isinstance(q.module, TrivialReals)
     raws = list(map(group.unwrap, elements))
     # normal form -> value: over TrivialReals, denom * value, an int
-    known = q._memo if group is q.group or group == q.group else dict(zip(raws, values))
-    table, denom = {} if scalar else dict(known), 1
+    table, denom = {} if scalar else dict(q._memo), 1
     if scalar:
-        for r, v in known.items():
+        for r, v in q._memo.items():
             num, d = v.scalar().as_integer_ratio()
             if denom % d:
                 k = lcm(denom, d) // denom

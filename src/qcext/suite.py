@@ -17,10 +17,9 @@ from typing import Callable
 
 from .coeffs import zero
 from .embedding import seeded_rng
-from .errors import DomainError, PartitionNotFoundError
+from .errors import PartitionNotFoundError
 from .extension import averaged_value, combed_value, elementary_bicombing, extend
-from .geodesics import geodesic_routes, penetration
-from .groups import FiniteTableGroup, FreeGroup, enumerate_ball
+from .geodesics import ball_domain, geodesic_routes, penetration
 from .qc import coboundary1
 from .separating import _resolve_c, separation_report, triangle_partition
 
@@ -81,28 +80,6 @@ class CheckResult:
 # -- instance generation ---------------------------------------------------------
 
 
-def ball_domain(spec, radius: int) -> list:
-    """The full ball of the given radius in the standard word metric,
-    deterministically ordered."""
-    if spec.family == "free_rel_cyclic":
-        from .geodesics import free_ball_words
-
-        return list(free_ball_words(spec.group, radius))
-    moves = []
-    for idx, factor in enumerate(spec.group.factors):
-        if isinstance(factor, FreeGroup):
-            for w in factor.generators():
-                moves.append(spec.group.syllable(idx, w))
-                moves.append(spec.group.syllable(idx, w.inverse()))
-        elif isinstance(factor, FiniteTableGroup):
-            for e in factor.elements():
-                if not e.is_identity():
-                    moves.append(spec.group.syllable(idx, e))
-        else:
-            raise DomainError(f"no ball generators for factor {factor!r}")
-    return enumerate_ball(spec.identity(), moves, radius)
-
-
 def _random_pairs(spec, rng, count: int, size: int = 5) -> list:
     out = []
     while len(out) < count:
@@ -113,20 +90,10 @@ def _random_pairs(spec, rng, count: int, size: int = 5) -> list:
     return out
 
 
-def _subgroup_samples(spec, lam: str, rng, count: int, size: int = 6) -> list:
-    out = []
-    for _ in range(count):
-        h = spec.random_subgroup_element(lam, rng, size)
-        if not h.is_identity():
-            out.append(h)
-    return out
-
-
-def _coset_tuple(spec, lam: str, rng, length: int, t=None) -> list:
-    """Elements of one coset t*H_lam, distinct when the subgroup is big
-    enough (repeats are harmless for the telescoping laws)."""
-    if t is None:
-        t = spec.random_element(rng, 3)
+def _coset_tuple(spec, lam: str, rng, length: int) -> list:
+    """Elements of one random coset t*H_lam, distinct when the subgroup is
+    big enough (repeats are harmless for the telescoping laws)."""
+    t = spec.random_element(rng, 3)
     seen: dict = {}  # ordered set of coset elements
     attempts = 0
     while len(seen) < length and attempts < 40 * length:
@@ -364,7 +331,10 @@ def run_full_suite(
     # the extension itself: restriction and certificate
     srng = seeded_rng(seed, "suite:restriction")
     for lam, q in sorted(cocycles.items()):
-        for h in _subgroup_samples(spec, lam, srng, max(40, samples // 10)):
+        for _ in range(max(40, samples // 10)):
+            h = spec.random_subgroup_element(lam, srng, 6)
+            if h.is_identity():
+                continue
             results["restriction-identity"].record(
                 ext.iota(h) == q(h), lambda: f"iota({h}) != q({h}) at {lam}"
             )

@@ -14,7 +14,7 @@ from functools import cache
 from qcext.coeffs import zero
 from qcext.embedding import FreeProductPairSpec, FreeRelCyclicSpec
 from qcext.extension import asnec_demo, extend, restriction_check
-from qcext.geodesics import distance, distance_map, free_ball_words
+from qcext.geodesics import ball_domain, distance, distance_map, free_ball_words
 from qcext.groups import FreeGroup, FreeProduct, commutator
 from qcext.qc import (
     antisymmetrize,
@@ -29,7 +29,7 @@ from qcext.qc import (
     tree_edge_cocycle,
 )
 from qcext.scl import cl_upper, free_dist_experiment, scl_upper, undistortion_pipeline
-from qcext.suite import EXTENSION_CHECKS, SEP_CHECKS, ball_domain, run_full_suite
+from qcext.suite import EXTENSION_CHECKS, SEP_CHECKS, run_full_suite
 
 from independent_oracles import coboundary2, string_sweep, to_code
 

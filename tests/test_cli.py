@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qcext import cli
 from qcext.cli import (
     COMMANDS, HANDLERS, MAX_C, MAX_DEMO, MAX_ELEMENT_SIZE, MAX_K, MAX_NGON, MAX_RADIUS, MAX_SAMPLES,
     MAX_UPPER_N, main, tag,
 )
 from qcext.embedding import MAX_ORDER
-from qcext.errors import ConfigError
+from qcext.errors import QcextError
+from qcext.scl import SclBound
 
 FP_SPEC = {
     "family": "free_product",
@@ -475,10 +478,32 @@ def test_budget_exhaustion_exits_3_with_partial_report(tmp_path):
     assert "error" in report and "timings" in report
 
 
-def test_tag_rejects_unknown_provenance():
-    with pytest.raises(ConfigError):
+def test_tag_rejects_unknown_provenance(tmp_path, capsys, monkeypatch):
+    # the code picks every tag, so an unknown one is a bug, not a config error
+    with pytest.raises(ValueError) as raised:
         tag(1, "vibes")
+    assert not isinstance(raised.value, QcextError)
     assert tag(1, "exact") == {"value": "1", "provenance": "exact"}
+    monkeypatch.setitem(HANDLERS, "verify", lambda config, seed: ({"x": tag(1, "vibes")}, 0))
+    code, report = run_cli(tmp_path, "verify", {"spec": REL_SPEC})
+    assert code == 4 and report is None
+    assert "ValueError: unknown report provenance 'vibes'" in capsys.readouterr().err
+
+
+def test_scl_bound_lower_above_upper_exits_1(tmp_path, capsys, monkeypatch):
+    # the upper bound goes through SclBound, which refuses lower > upper
+    pipeline = cli.undistortion_pipeline
+
+    def inflated(*args, **kwargs):
+        report = pipeline(*args, **kwargs)
+        report["bound"] = SclBound(report["bound"].g, Fraction(2))
+        return report
+
+    monkeypatch.setattr(cli, "undistortion_pipeline", inflated)
+    config = {**SCL_CONFIG, "upper": {"n": 1, "commutators": [["x", "y"]]}}
+    code, report = run_cli(tmp_path, "scl-bound", config)
+    assert code == 1 and report is None
+    assert "lower bound 2 exceeds upper bound 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -504,8 +529,11 @@ def test_tag_rejects_unknown_provenance():
     ("defect", {"spec": BIG_FP_SPEC, "inputs": [{"kind": "brooks", "lambda": "A", "w": "x y"},
                                                 {"kind": "tree-edge", "lambda": "B"}]},
      "one coefficient module"),
+    ("scl-bound", {**SCL_CONFIG, "h": "x"}, "h must lie in the commutator subgroup"),
+    ("scl-bound", {**SCL_CONFIG, "y_gens": ["y"]}, "y_gens must span the factor's abelianization"),
 ], ids=["tree-edge-p-0", "homomorphism-on-F2", "tree-edge-on-cyclic", "calibrate-free-product",
-        "bad-table", "sym-not-a-string", "no-polygon-constant", "negative-c", "mixed-modules"])
+        "bad-table", "sym-not-a-string", "no-polygon-constant", "negative-c", "mixed-modules",
+        "h-outside-commutators", "y-gens-not-spanning"])
 def test_config_problems_found_while_building_exit_2(tmp_path, capsys, command, config, message):
     # each of these exited 1, "check failed", or raised, before any check ran
     code, report = run_cli(tmp_path, command, config)

@@ -35,8 +35,8 @@ from qcext import (
 from qcext.coeffs import real_value, sum_vectors, zero
 from qcext.embedding import spec_from_json
 from qcext.errors import CertificateError, DomainError, MixedContextError
+from qcext.geodesics import ball_domain
 from qcext.qc import CertifiedBound, half_sign
-from qcext.suite import ball_domain
 
 F2 = FreeGroup(["x", "y"])
 REL_X = FreeRelCyclicSpec(F2, F2.parse("x"))

@@ -19,9 +19,8 @@ from qcext import (
 )
 from qcext.embedding import HLetter
 from qcext.errors import DomainError, MixedContextError, NotGeodesicError
-from qcext.geodesics import CayleyPath, distance_map
+from qcext.geodesics import CayleyPath, ball_domain, distance_map
 from qcext.groups import FreeWord, cyclic_group
-from qcext.suite import ball_domain
 
 from independent_oracles import brute_force_distance_oracle
 

@@ -23,12 +23,12 @@ from qcext import (
     exponent_vector,
     is_proper_power,
 )
+from qcext.embedding import FreeProductPairSpec
 from qcext.errors import GroupTableError, MixedContextError, UnknownGeneratorError
-from qcext.geodesics import free_ball_words
+from qcext.geodesics import ball_domain, free_ball_words
 from qcext.groups import (
     FiniteElement,
     as_fraction,
-    enumerate_ball,
     is_cyclically_reduced,
 )
 
@@ -194,8 +194,7 @@ def _reduce_syllables(factors, syllables):
 def test_free_product_raw_protocol_matches_elements():
     z2 = FiniteTableGroup(["1", "s"], [[0, 1], [1, 0]])
     G = FreeProduct([z2, FreeGroup(["t"])])
-    s, t = G.parse("s"), G.parse("t")
-    ball = enumerate_ball(G.identity(), [s, t, t.inverse()], 4)
+    ball = ball_domain(FreeProductPairSpec(G), 4)  # moves s, t, t^-1
     assert len(ball) == 46
     for f in ball:
         a = G.unwrap(f)
@@ -292,12 +291,6 @@ def test_free_product_parse_rejects_foreign_symbols():
         G.parse("c")
 
 
-def test_enumerate_ball_count():
-    gens = [F2.gen("x"), F2.gen("x").inverse(), F2.gen("y"), F2.gen("y").inverse()]
-    ball = enumerate_ball(F2.identity(), gens, 2)
-    assert len(ball) == 17  # 1 + 4 + 12
-
-
 def test_ball_elements_free_group():
     ball = list(free_ball_words(F2, 2))
     assert len(ball) == 17
@@ -377,8 +370,7 @@ def test_ball_words_have_distinct_hashes():
 
 def test_free_product_ball_has_distinct_hashes():
     P = FreeProduct([F2, FreeGroup(["t"])])
-    gens = [P.parse(s) for s in ("x", "x^-1", "y", "y^-1", "t", "t^-1")]
-    ball = enumerate_ball(P.identity(), gens, 5)
+    ball = ball_domain(FreeProductPairSpec(P), 5)  # moves x, x^-1, y, y^-1, t, t^-1
     assert len(ball) == 4687
     assert len({hash(g) for g in ball}) == 4687
 

@@ -31,8 +31,8 @@ from qcext import (
     tree_edge_cocycle,
 )
 from qcext.errors import CertificateError, DomainError, MixedContextError
+from qcext.geodesics import ball_domain
 from qcext.qc import half_sign
-from qcext.suite import ball_domain
 
 from independent_oracles import coboundary2
 
@@ -418,43 +418,44 @@ def test_defect_rejects_elements_of_two_groups():
         defect(ext.iota, [fp.parse("t"), F2.parse("x")])
 
 
-def test_defect_ignores_memo_entries_of_another_group():
-    # codes of a, b in F(a,b) equal those of x, y in F(x,y); the F(a,b)
-    # values are deliberately different and already in the memo
+def test_calls_and_scans_refuse_an_unequal_group_and_keep_the_memo():
+    # F(a,b) spells its words with the codes of F(x,y)'s, so a shared key
+    # would hand them F(x,y)'s values: every kind of cocycle refuses them, in
+    # a call and in a scan, before it reads or writes its memo
     fab = FreeGroup(["a", "b"])
+    fp, ext = _fp_brooks()
+    fp_ab = FreeProduct([fab, FreeGroup(["s"])])
     counting = brooks(F2, F2.parse("x y"))
-
-    def fn(g):
-        if g.group == fab:
-            return real_value(100, counting.module)
-        return counting(g)
-
-    q = QuasiCocycle("two-faced", F2, counting.module, fn)
-    for w in free_ball_words(fab, 4):
-        q(w)
-    ball = list(free_ball_words(F2, 2))
-    est = _assert_matches_reference(q, ball)
-    assert est.exact_pth_power_max == 1
-    assert q.scalar_value(fab.parse("a b")) == 100  # the foreign entry is still there
-
-
-def test_defect_scans_another_groups_elements_apart():
-    # q's group is F(x,y); a scan over F(a,b), whose words have the same
-    # codes, reads only F(a,b) values, and both groups keep their own entries
-    fab = FreeGroup(["a", "b"])
-    counting = brooks(F2, F2.parse("x y"))
-
-    def fn(g):
-        return real_value(100, counting.module) if g.group == fab else counting(g)
-
-    q = QuasiCocycle("two-faced", F2, counting.module, fn)
-    for w in free_ball_words(F2, 2):
-        q(w)
-    est = _assert_matches_reference(q, list(free_ball_words(fab, 2)))
-    assert est.exact_pth_power_max == 100
-    assert q.scalar_value(F2.parse("x y")) == 1
-    assert q.scalar_value(FreeGroup(["x", "y"]).parse("x y")) == 1  # an equal group
-    assert q.scalar_value(fab.parse("a b")) == 100
+    cases = [
+        (counting, "x y", fab),
+        (brooks_homogenized(F2, F2.parse("x y")), "x y", fab),
+        (antisymmetrize(counting) + counting.scale(2), "x y", fab),
+        (tree_edge_cocycle(F2), "x y", fab),
+        (step_quasimorphism(REL_X), "x^2", fab),
+        (half_sign(REL_X), "x^2", fab),
+        (cyclic_homomorphism(REL_X), "x^2", fab),
+        (embed_on_factor(fp, "A", brooks(F2, F2.parse("x y"))), "x y", fp_ab),
+        (ext.iota, "x y t", fp_ab),
+    ]
+    for q, text, foreign in cases:
+        own = q.group.parse(text)
+        q(own)
+        memo = dict(q._memo)
+        other = foreign.parse(text.replace("x", "a").replace("y", "b").replace("t", "s"))
+        assert foreign.unwrap(other) == q.group.unwrap(own)
+        for scan in ([other], [own**2, other], [other, own**2]):
+            with pytest.raises(MixedContextError):
+                defect(q, scan)
+        with pytest.raises(MixedContextError):
+            q(other)
+        assert q._memo == memo, q
+    # a plain cocycle shares its memo with an equal but distinct group
+    calls = _count_calls(counting)
+    twin = FreeGroup(["x", "y"])
+    assert twin == F2 and twin is not F2
+    assert counting(twin.parse("x y")) is counting(F2.parse("x y")) and calls == []
+    twin_ball, ball = list(free_ball_words(twin, 2)), list(free_ball_words(F2, 2))
+    assert defect(counting, twin_ball) == _assert_matches_reference(counting, ball)
 
 
 def _count_calls(q) -> list:
@@ -486,9 +487,10 @@ def test_warm_scan_calls_the_function_zero_times():
 def test_cold_scan_evaluates_each_missing_product_once_in_row_major_order():
     spec, ext = _fp_brooks()
     ball = ball_domain(spec, 2)
-    calls = _count_calls(ext.iota)  # iota's function takes normal forms
+    calls = _count_calls(ext.iota)
     defect(ext.iota, ball)
     G = spec.group
+    calls = [G.unwrap(g) for g in calls]  # iota's function takes elements
     raws = [G.unwrap(e) for e in ball]
     order = raws + [G.raw_mul(a, b) for a in raws for b in raws]
     first: dict = {}

@@ -18,7 +18,7 @@ from qcext import (
     triangle_partition,
 )
 from qcext.errors import MixedContextError, NotSeparatingError
-from qcext.suite import ball_domain
+from qcext.geodesics import ball_domain
 
 
 def fp_spec():
