@@ -47,6 +47,7 @@ from .qc import (
     defect,
     embed_on_factor,
     step_quasimorphism,
+    tag,
     tree_edge_cocycle,
 )
 from .scl import (
@@ -73,21 +74,6 @@ MAX_ELEMENT_SIZE = 16  # the longest element calibrate-c samples
 MAX_NGON = 16  # the most sides of a calibrate-c polygon, one geodesic search each
 MAX_K = 1_000  # the largest distortion k (k = 1,000 takes 0.15 s, 3,000 1.6 s)
 MAX_C = 100  # the largest polygon constant: a run lists relative balls of radius 15C
-
-
-def tag(value, provenance: str) -> dict:
-    """Report numerics always travel with a provenance label.  The label is
-    chosen by the code, never by a config, so an unknown one is a bug: a
-    ValueError, which exits 4."""
-    if provenance not in (
-        "exact",
-        "empirical-lower-bound",
-        "certified-lower-bound",
-        "certified-upper-bound",
-        "external-reference",
-    ):
-        raise ValueError(f"unknown report provenance {provenance!r}")
-    return {"value": str(value), "provenance": provenance}
 
 
 def vector_json(vec: ModuleVector) -> dict:
@@ -216,8 +202,7 @@ def cmd_extend(config: dict, seed: int) -> tuple[dict, int]:
     restrictions = [restriction_check(result, lam, samples=cfg["restriction_samples"], seed=seed)
                     for lam in sorted(inputs)]
     payload = result.to_json()
-    payload["certificate_tagged"] = tag(result.certificate.value,
-                                        "certified-upper-bound")
+    payload["certificate_tagged"] = result.certificate.claim()
     payload["values"] = values
     payload["restriction"] = restrictions
     return payload, EXIT_OK
@@ -252,12 +237,12 @@ def cmd_defect(config: dict, seed: int) -> tuple[dict, int]:
     est = defect(result.iota, elements)
     ok = est.leq_exact(result.certificate.value)
     payload = {
-        "certificate": tag(result.certificate.value, "certified-upper-bound"),
+        "certificate": result.certificate.claim(),
         "certificate_detail": result.certificate.to_json(),
         "empirical_defect": est.to_json(),
         "within_certificate": ok,
         "conditional": result.conditional,
-        "conditional_reasons": sorted(set(map(str, result.conditional_reasons))),
+        "conditional_reasons": result.conditional_reasons,
     }
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -672,7 +672,7 @@ def calibrate_c(
     both endpoints in its coset; edges labeled by ambient generators count
     as de-isolating (they are parallel to subgroup edges).
     """
-    from .geodesics import geodesic_routes  # local: avoids an import cycle
+    from .geodesics import CayleyPath, geodesic_routes  # local: avoids an import cycle
 
     if spec.family != "free_rel_cyclic":
         raise DomainError("calibration applies to the free_rel_cyclic family")
@@ -714,9 +714,7 @@ def calibrate_c(
         if not ok or not letters:
             curve.append((s + 1, max_ratio))
             continue
-        verts = [spec.identity()]
-        for letter in letters:
-            verts.append(verts[-1] * letter.elem)
+        verts = CayleyPath(spec.identity(), letters).vertices()
         m = len(letters)  # loop: verts[m] == verts[0]
 
         # Cyclic maximal runs of subgroup letters staying in one coset.

@@ -51,9 +51,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffs import ModuleVector, TrivialReals, sum_vectors, zero
-from .embedding import seeded_rng
+from .embedding import FreeRelCyclicSpec, seeded_rng
 from .errors import CertificateError, DomainError, MixedContextError
 from .geodesics import last_block
+from .groups import FreeGroup
 from .qc import (
     CertifiedBound,
     QuasiCocycle,
@@ -152,7 +153,8 @@ class ExtensionResult:
 
     @property
     def conditional_reasons(self) -> list:
-        return list(dict.fromkeys(self._reasons))
+        """The distinct reasons, sorted: the form every report prints."""
+        return sorted(set(self._reasons))
 
     @property
     def band_log(self) -> list:
@@ -172,7 +174,7 @@ class ExtensionResult:
                 for lam, info in sorted(self.per_lambda.items())
             },
             "conditional": self.conditional,
-            "conditional_reasons": sorted(set(map(str, self.conditional_reasons))),
+            "conditional_reasons": self.conditional_reasons,
             "band_exclusions": [b.to_json() for b in self.band_log],
         }
 
@@ -364,9 +366,6 @@ def asnec_demo(n: int = 1, k_max: int = 6, seed: int = 0) -> dict:
     each contributing step(x^n) = 1, while g^-k crosses them with exponent
     -n, each contributing 0.
     """
-    from .embedding import FreeRelCyclicSpec
-    from .groups import FreeGroup
-
     group = FreeGroup(["x", "y"])
     spec = FreeRelCyclicSpec(group, group.parse("x"))
     lam = spec.lambdas()[0]

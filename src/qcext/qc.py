@@ -4,7 +4,9 @@ A quasi-cocycle assigns to each group element a vector in an isometric
 module; its defect is sup ||q(fg) - q(f) - f.q(g)||.  Empirical defect
 scans (DefectEstimate) keep the exact p-th power of the largest violation
 and a witness pair; certificates (CertifiedBound) are exact rationals with
-a provenance tag and never come from empirical sups.  A scan takes its
+a provenance tag and never come from empirical sups.  Every tag a report
+may carry is declared here, in PROVENANCES, and `tag` builds every tagged
+dict of every report.  A scan takes its
 products row by row from the group's `raw_rows` and reads known values from
 q's memo by normal form; over scalar (TrivialReals) values it is exact
 integer arithmetic over one common denominator, and over IndexedLp it sums
@@ -30,7 +32,10 @@ from .coeffs import IndexedLp, ModuleVector, TrivialReals, real_value
 from .errors import CertificateError, DomainError, MixedContextError
 from .groups import FreeGroup, FreeWord, as_fraction, cyclic_reduce, exponent_vector
 
-PROVENANCES = (
+# Every tag a report may carry, declared here only.  A certificate source
+# says what a CertifiedBound rests on; the four claims say how a printed
+# number stands.  `tag` builds every tagged dict and refuses any other tag.
+CERTIFICATE_SOURCES = (
     "homomorphism-zero",
     "combinatorial-certificate",
     "extension-certificate",
@@ -38,11 +43,26 @@ PROVENANCES = (
     "user-supplied",
     "external-reference",
 )
+PROVENANCES = (
+    "exact",
+    "certified-upper-bound",
+    "certified-lower-bound",
+    "empirical-lower-bound",
+) + CERTIFICATE_SOURCES
+
+
+def tag(value, provenance: str, **extra) -> dict:
+    """{"value": str(value), "provenance": provenance} with `extra` merged on.
+    The tag is chosen by the code, never by a config, so an unknown one is a
+    bug: a ValueError (the CLI exits 4)."""
+    if provenance not in PROVENANCES:
+        raise ValueError(f"unknown report provenance {provenance!r}")
+    return {"value": str(value), "provenance": provenance, **extra}
 
 
 @dataclass(frozen=True)
 class CertifiedBound:
-    """Exact upper bound with a provenance tag from the fixed vocabulary."""
+    """Exact upper bound tagged with the certificate source it rests on."""
 
     value: Fraction
     provenance: str
@@ -50,19 +70,21 @@ class CertifiedBound:
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_fraction(self.value))
-        if self.provenance not in PROVENANCES:
+        if self.provenance not in CERTIFICATE_SOURCES:
             raise CertificateError(
-                f"unknown provenance {self.provenance!r}; expected one of {PROVENANCES}"
+                f"unknown provenance {self.provenance!r}; expected one of {CERTIFICATE_SOURCES}"
             )
         if self.value < 0:
             raise CertificateError("a defect bound cannot be negative")
 
     def to_json(self) -> dict:
-        return {
-            "value": str(self.value),
-            "provenance": self.provenance,
-            "note": self.note,
-        }
+        return tag(self.value, self.provenance, note=self.note)
+
+    def claim(self, **extra) -> dict:
+        """The bound as a report claims it: its value tagged
+        certified-upper-bound, `extra` merged on.  Every report that prints
+        a CertifiedBound as a claim reads the tag here."""
+        return tag(self.value, "certified-upper-bound", **extra)
 
 
 @dataclass(frozen=True)
@@ -87,8 +109,7 @@ class DefectEstimate:
         """The report form: the exact p-th power, tagged as an empirical
         lower bound on the defect's p-th power; no float."""
         return {
-            "pth_power": {"value": str(self.exact_pth_power_max),
-                          "provenance": "empirical-lower-bound"},
+            "pth_power": tag(self.exact_pth_power_max, "empirical-lower-bound"),
             "p": self.p,
             "witness": [str(x) for x in self.witness] if self.witness else None,
             "pairs_checked": self.pairs_checked,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .coeffs import real_value
 from .embedding import seeded_rng
 from .errors import CertificateError, DomainError, InvariantError
 from .extension import extend
@@ -31,15 +32,12 @@ from .groups import (
 )
 from .qc import (
     CertifiedBound,
-    PROVENANCES,
     QuasiCocycle,
     brooks_homogenized,
     embed_on_factor,
+    tag,
 )
-
-BAVARD_DENOMINATOR_PROVENANCES = tuple(
-    p for p in PROVENANCES if p != "external-reference"
-)
+from .separating import _resolve_c
 
 
 @dataclass(frozen=True)
@@ -104,11 +102,11 @@ def scl_upper(group: FreeGroup, g: FreeWord, expressions: dict) -> Fraction:
 def bavard_lower(phi: QuasiCocycle, d_upper: CertifiedBound, g) -> SclBound:
     """scl(g) >= phi(g) / (2 * d_upper) for homogeneous phi.
 
-    The denominator must be a CertifiedBound whose provenance is in the
-    accepted list; empirical defect estimates are rejected by type."""
+    The denominator must be a CertifiedBound that rests on more than an
+    external reference; empirical defect estimates are rejected by type."""
     if not isinstance(d_upper, CertifiedBound):
         raise CertificateError("Bavard denominators need a certified bound")
-    if d_upper.provenance not in BAVARD_DENOMINATOR_PROVENANCES:
+    if d_upper.provenance == "external-reference":
         raise CertificateError(
             f"provenance {d_upper.provenance!r} not accepted for denominators"
         )
@@ -244,8 +242,6 @@ def adjust_quasimorphism(phi: QuasiCocycle, nice: NiceGeneratingSet,
         )
 
     def fn(h):
-        from .coeffs import real_value
-
         return real_value(phi.scalar_value(h) - beta(h), phi.module)
 
     return QuasiCocycle(
@@ -318,8 +314,6 @@ def undistortion_pipeline(
     if any(v != 0 for v in exponent_vector(h).values()):
         raise DomainError("h must lie in the commutator subgroup of the factor")
 
-    from .separating import _resolve_c
-
     c = _resolve_c(spec, c_value)
     chain: list[dict] = []
     notes: list[str] = []
@@ -328,6 +322,8 @@ def undistortion_pipeline(
         factor.gen(sym) for sym in factor.gens
     ]
     nice = nice_generating_set(factor, y_input)
+    if len(nice.y1) < len(factor.gens):
+        raise DomainError("y_gens must span the factor's abelianization")
     phi_adj = adjust_quasimorphism(phi, nice, factor)
     for y in nice.y1:
         if phi_adj.scalar_value(y) != 0:
@@ -352,38 +348,30 @@ def undistortion_pipeline(
     adj_h = phi_adj.scalar_value(h)
     if adj_h != phi_h:
         raise InvariantError("adjustment must not move values on [H,H]")
-    chain.append({"step": "phi(h)", "value": str(phi_h), "provenance": "exact"})
-    chain.append({"step": "D(phi') = D(phi)", "value": str(d_cert.value),
-                  "provenance": "certified-upper-bound",
-                  "detail": d_cert.to_json()})
-    chain.append({"step": "K on the strict 15C ball", "value": str(k_value),
-                  "provenance": "exact", "detail": why})
-    chain.append({"step": "L with d_Y <= L*d-hat", "value": str(l_value),
-                  "provenance": "exact", "detail": why})
-    chain.append({"step": "D(iota(phi')) <= 54K + 66D", "value": str(ext_cert.value),
-                  "provenance": "certified-upper-bound",
-                  "detail": ext_cert.to_json()})
+    chain.append(tag(phi_h, "exact", step="phi(h)"))
+    chain.append(d_cert.claim(step="D(phi') = D(phi)", detail=d_cert.to_json()))
+    chain.append(tag(k_value, "exact", step="K on the strict 15C ball", detail=why))
+    chain.append(tag(l_value, "exact", step="L with d_Y <= L*d-hat", detail=why))
+    chain.append(ext_cert.claim(step="D(iota(phi')) <= 54K + 66D",
+                                detail=ext_cert.to_json()))
 
     # One label, so the certificate is 54K + 66D and M = certificate / D.
     psi_cert = 2 * ext_cert.value
     lower = Fraction(0) if psi_cert == 0 else phi_h / (2 * psi_cert)
     if d_cert.value > 0:
         m_value = ext_cert.value / d_cert.value
-        chain.append({"step": "M with 54K + 66D <= M*D", "value": str(m_value),
-                      "provenance": "exact"})
+        chain.append(tag(m_value, "exact", step="M with 54K + 66D <= M*D"))
         denom_note = "phi(h) / (4*M*D)"
     else:
         m_value = None
         notes.append("D(phi') = 0: chain bypasses M and uses D(psi) <= 2*54K")
         denom_note = "trivial: all constants vanish"  # K = 0, so psi_cert = 0
-    chain.append({"step": "D(psi) <= 2*D(iota(phi'))", "value": str(psi_cert),
-                  "provenance": "certified-upper-bound"})
+    chain.append(tag(psi_cert, "certified-upper-bound", step="D(psi) <= 2*D(iota(phi'))"))
 
     # psi(h) = phi'(h): restriction identity plus homogeneity, no limits needed.
-    chain.append({"step": "psi(h) = phi'(h)", "value": str(adj_h),
-                  "provenance": "exact"})
-    chain.append({"step": "scl lower bound", "value": str(lower),
-                  "provenance": "certified-lower-bound", "detail": denom_note})
+    chain.append(tag(adj_h, "exact", step="psi(h) = phi'(h)"))
+    chain.append(tag(lower, "certified-lower-bound", step="scl lower bound",
+                     detail=denom_note))
 
     h_embedded = spec.group.syllable(idx, h)
     consistency = (extension.iota(h_embedded).scalar() == adj_h)
@@ -407,11 +395,9 @@ def undistortion_pipeline(
         "conditional": extension.conditional,
     }
     if scl_h_reference is not None and m_value is not None:
-        result["scl_h_transport"] = {
-            "value": str(as_fraction(scl_h_reference) / (2 * m_value)),
-            "provenance": "user-supplied",
-            "note": "valid only if the supplied scl_H value is realized by phi",
-        }
+        result["scl_h_transport"] = tag(
+            as_fraction(scl_h_reference) / (2 * m_value), "user-supplied",
+            note="valid only if the supplied scl_H value is realized by phi")
     return result
 
 
@@ -467,15 +453,11 @@ def free_dist_experiment(k_list, seed: int = 0) -> dict:
                 "k": k,
                 "h_k": str(hk_sub),
                 "ambient": str(hk_amb),
-                "scl_G_upper": {"value": str(upper), "provenance": "exact",
-                                "witness": f"[[x,y]^{k}, t]"},
-                "scl_H_lower": {"value": str(lower_h.lower),
-                                "provenance": "certified-lower-bound",
-                                "witness": lower_h.lower_witness},
-                "scl_H_reference": {"value": str(Fraction(2 * k + 1, 2)),
-                                    "provenance": "external-reference"},
-                "ratio_lower_over_upper": {"value": str(ratio),
-                                           "provenance": "exact"},
+                "scl_G_upper": tag(upper, "exact", witness=f"[[x,y]^{k}, t]"),
+                "scl_H_lower": tag(lower_h.lower, "certified-lower-bound",
+                                   witness=lower_h.lower_witness),
+                "scl_H_reference": tag(Fraction(2 * k + 1, 2), "external-reference"),
+                "ratio_lower_over_upper": tag(ratio, "exact"),
                 "ratio_increasing": increasing,
             }
         )

@@ -14,6 +14,7 @@ from qcext.cli import (
 )
 from qcext.embedding import MAX_ORDER
 from qcext.errors import QcextError
+from qcext.qc import PROVENANCES
 from qcext.scl import SclBound
 
 FP_SPEC = {
@@ -37,9 +38,33 @@ def run_cli(tmp_path, command, config, seed=0, name="cfg"):
                  "--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     assert _upper_tags_on_lower_bounds(report) == []
+    assert _bad_tags(report) == []
     if report is not None:
         assert _floats({k: v for k, v in report.items() if k != "timings"}) == []
     return code, report
+
+
+def _exact(number) -> bool:
+    """A rational written as a string, as every tagged number must be."""
+    try:
+        Fraction(number)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return isinstance(number, str)
+
+
+def _bad_tags(node, path=()) -> list:
+    """Paths of a report where a dict with a "provenance" key carries a tag
+    outside qc.PROVENANCES, or a value (or norm_pth_power) that is not an
+    exact rational string."""
+    found = []
+    if isinstance(node, dict) and "provenance" in node:
+        number = node.get("value", node.get("norm_pth_power"))
+        if node["provenance"] not in PROVENANCES or not _exact(number):
+            found.append("/".join(map(str, path)))
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return found + [p for k, v in items for p in _bad_tags(v, path + (k,))]
 
 
 def _floats(node, path=()) -> list:
@@ -660,3 +685,10 @@ def test_readme_lists_each_commands_keys():
         elif command and (row := re.match(r"\| `(\w+)` \|", line)):
             listed[command].add(row.group(1))
     assert listed == {name: set(table) for name, table in COMMANDS.items()}
+
+
+def test_readme_lists_each_provenance_tag():
+    # README's provenance table mirrors qc.PROVENANCES, tag for tag and in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Provenance tags\n", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"^\| `([a-z-]+)` \|", section, re.M) == list(PROVENANCES)

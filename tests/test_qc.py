@@ -32,7 +32,7 @@ from qcext import (
 )
 from qcext.errors import CertificateError, DomainError, MixedContextError
 from qcext.geodesics import ball_domain
-from qcext.qc import half_sign
+from qcext.qc import CERTIFICATE_SOURCES, PROVENANCES, half_sign, tag
 
 from independent_oracles import coboundary2
 
@@ -237,6 +237,20 @@ def test_certified_bound_validation():
         CertifiedBound(1, "word-of-mouth")
     b = CertifiedBound(Fraction(1, 2), "user-supplied", "given")
     assert b.to_json()["value"] == "1/2"
+    # one vocabulary: a CertifiedBound names one of the six sources, never
+    # one of the four report claims, and claims an upper bound
+    assert len(set(PROVENANCES)) == len(PROVENANCES) == 10
+    assert len(CERTIFICATE_SOURCES) == 6 and set(CERTIFICATE_SOURCES) < set(PROVENANCES)
+    for provenance in PROVENANCES:
+        if provenance in CERTIFICATE_SOURCES:
+            assert CertifiedBound(2, provenance).to_json() == tag(2, provenance, note="")
+        else:
+            with pytest.raises(CertificateError):
+                CertifiedBound(2, provenance)
+    b = CertifiedBound(Fraction(3, 2), "derived", "why")
+    assert b.to_json() == {"value": "3/2", "provenance": "derived", "note": "why"}
+    assert b.claim(step="s") == {"value": "3/2", "provenance": "certified-upper-bound",
+                                 "step": "s"}
 
 
 def test_defect_estimate_exact_comparison():

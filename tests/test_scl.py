@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from qcext import (
     scl_upper,
     undistortion_pipeline,
 )
+from qcext import qc
 from qcext.errors import CertificateError, DomainError
 
 F2 = FreeGroup(["x", "y"])
@@ -207,6 +209,33 @@ def test_undistortion_pipeline_validation():
     rel = FreeRelCyclicSpec(F2, F2.parse("x"))
     with pytest.raises(DomainError):
         undistortion_pipeline(rel, "C", commutator(X, Y), psi)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_undistortion_pipeline_refuses_y_gens_short_of_the_abelianization(seed):
+    # [y] spans one of F2's two abelianization directions: refused up front,
+    # by name, not by extend's sampled antisymmetry check
+    psi = brooks_homogenized(F2, F2.parse("x y"))
+    with pytest.raises(DomainError, match="y_gens must span"):
+        undistortion_pipeline(fp_spec(), "A", commutator(X, Y), psi, y_gens=[Y], seed=seed)
+
+
+def test_scl_reports_build_every_tag_through_the_vocabulary(monkeypatch):
+    # each tag the pipeline or the experiment prints goes through qc.tag: with
+    # it dropped from the vocabulary, the run refuses instead of printing it
+    psi = brooks_homogenized(F2, F2.parse("x y"))
+    runs = (lambda: undistortion_pipeline(fp_spec(), "A", commutator(X, Y), psi,
+                                          scl_h_reference=Fraction(1, 2)),
+            lambda: free_dist_experiment([1]))
+    for run in runs:
+        printed = set(re.findall(r"'provenance': '([a-z-]+)'", repr(run())))
+        assert len(printed) >= 4
+        for provenance in printed:
+            monkeypatch.setattr(qc, "PROVENANCES", tuple(
+                p for p in qc.PROVENANCES if p != provenance))
+            with pytest.raises(ValueError, match=f"unknown report provenance '{provenance}'"):
+                run()
+            monkeypatch.undo()
 
 
 def test_free_dist_experiment_rows():
