@@ -22,6 +22,8 @@ unary -, scale and act) returns an operand (v + 0, v - 0, 0 + v) or builds
 its result through the module-private _trusted constructor, which skips
 those checks: the indices are the operands' own (act translates them
 injectively) and every stored coefficient is a nonzero Fraction.
+`_scalar_sum`, beside it, is the same + for TrivialReals vectors on a known
+module, exact integer arithmetic on the one coefficient where it can be.
 """
 
 from __future__ import annotations
@@ -202,6 +204,25 @@ def _trusted(module, coeffs: dict) -> ModuleVector:
     object.__setattr__(vec, "module", module)
     object.__setattr__(vec, "coeffs", coeffs)
     return vec
+
+
+def _scalar_sum(u: ModuleVector, v: ModuleVector) -> ModuleVector:
+    """u + v for two vectors of one TrivialReals module, without the module
+    check: a zero operand returns the other (v + 0 is v, 0 + v is v), equal
+    denominators add numerators, and other sums fall back to Fraction's +."""
+    if not v.coeffs:
+        return u
+    if not u.coeffs:
+        return v
+    a, b = u.coeffs[()], v.coeffs[()]
+    d = a.denominator
+    if d == b.denominator:
+        n = a.numerator + b.numerator
+        if not n:
+            return _trusted(u.module, {})
+        return _trusted(u.module, {(): Fraction(n) if d == 1 else Fraction(n, d)})
+    # a + b != 0 here: a = -b would share a's denominator
+    return _trusted(u.module, {(): a + b})
 
 
 def zero(module) -> ModuleVector:

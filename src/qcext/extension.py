@@ -27,18 +27,28 @@ essential, none is excluded or uncertain, and
 with the new coset's one pair (p, g) and step h; the trivial clause
 (g in H_lam, so p = 1) gives the same coset and pair.  Summing the averaged
 values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
-and iota(g) = iota(p) otherwise.  iota's function reads g's normal form,
-which keys iota's memo, and the evaluator runs on it: it walks down it once
-to the deepest prefix slice in the memo (or to 1), one probe per slice, then
-sums upward once and writes each slice's value into the memo without
-re-entering iota; a zero step shares its vector (v + 0 is v), and only an
-indexed module's act gets the prefix built as an element.  The writes skip
-iota's module check at no cost: every term is a value of an input q, each
-input checks its own module, and all inputs share one.  A generic w
-separates (1, g) afresh, and so does a basis w with 3C >= 1: there the
-trivial clause separates x at width 1 while the block x of y x is excluded,
-so S_lam(1, .) is not prefix-closed.  The choice depends only on the family
-and on C.
+and iota(g) = iota(p) otherwise.  iota's function is the evaluator: it
+unwraps g once to its normal form, which keys iota's memo, walks down it
+once to the deepest prefix slice in the memo (or to 1), one probe and one
+block split per slice (`geodesics.block_split`, bound to the family once
+per extension), then sums upward once and writes each slice's value into
+the memo without re-entering iota.
+
+A step reads q_lam(h) from the extension's step table: a block's key (its
+syllable on free products, its code and run length on a basis w) maps to
+the input's value at the block's letter, or to None when the letter's label
+has no input.  The table fills on first use, so each input is asked once
+per distinct block, and a letter is built only then.  Over TrivialReals the
+action is trivial and a step adds one exact scalar (`coeffs._scalar_sum`);
+a zero step shares its vector (v + 0 is v), and only an indexed module's
+act gets the prefix built as an element.  The writes skip iota's module
+check at no cost: every term is a value of an input q, each input checks
+its own module, and all inputs share one.
+
+A generic w separates (1, g) afresh, and so does a basis w with 3C >= 1:
+there the trivial clause separates x at width 1 while the block x of y x is
+excluded, so S_lam(1, .) is not prefix-closed.  The choice depends only on
+the family and on C.
 
 Inputs must be antisymmetric (declared and spot-checked).  `asnec_demo`
 runs the raw pipeline on a deliberately one-sided input to exhibit the
@@ -50,10 +60,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import ModuleVector, TrivialReals, sum_vectors, zero
+from .coeffs import ModuleVector, TrivialReals, _scalar_sum, sum_vectors, zero
 from .embedding import FreeRelCyclicSpec, seeded_rng
 from .errors import CertificateError, DomainError, MixedContextError
-from .geodesics import last_block
+from .geodesics import block_split
 from .groups import FreeGroup
 from .qc import (
     CertifiedBound,
@@ -179,24 +189,23 @@ class ExtensionResult:
         }
 
 
-def _combed_evaluator(spec, cocycles: dict, c_value, budget):
-    """Shared evaluator for iota: evaluate(result, raw) sums the combed
-    bicombing at (1, g) over subgroups, for the normal form raw of a g that
-    is not in result.iota's memo.
+def _combed_evaluator(result: ExtensionResult, budget):
+    """iota's function: evaluate(g) sums the combed bicombing at (1, g) over
+    subgroups, for a g whose normal form is not in result.iota's memo.
 
     On free products, and on a basis w with 3C < 1, it telescopes along the
     route (the module docstring): one walk down the normal form, then one
     sum up that memoizes every prefix, so no word recurses.  Otherwise it
     separates (1, g) and writes the report's notes straight into `result`."""
+    spec, cocycles, c_value = result.spec, result.inputs, result.c_value
     module = next(iter(cocycles.values())).module
     identity = spec.identity()
-    wrap = spec.group.wrap
+    unwrap, wrap = spec.group.unwrap, spec.group.wrap
     origin = zero(module)
     lams = tuple(sorted(cocycles))
-    telescopes = spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)
-    acts = not isinstance(module, TrivialReals)  # the trivial action ignores its g
 
-    def separated(result: ExtensionResult, raw) -> ModuleVector:
+    def separated(g) -> ModuleVector:
+        raw = unwrap(g)
         if not raw:
             return origin
         g = wrap(raw)
@@ -213,29 +222,49 @@ def _combed_evaluator(spec, cocycles: dict, c_value, budget):
             total = total + combed_value(cocycles[lam], sep)
         return total
 
-    def step(total: ModuleVector, p, letter) -> ModuleVector:
-        q = cocycles.get(letter.lam)
-        return total if q is None else total + q(letter.elem).act(wrap(p) if acts else p)
+    if not (spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)):
+        return separated
 
-    def telescoped(result: ExtensionResult, raw) -> ModuleVector:
+    split, letter_of = block_split(spec)
+    values: dict = {}  # block key -> the input's value at its letter, or None
+
+    def value_at(key):
+        letter = letter_of(key)
+        q = cocycles.get(letter.lam)
+        value = values[key] = None if q is None else q(letter.elem)
+        return value
+
+    scalar = isinstance(module, TrivialReals)  # the trivial action ignores the prefix
+
+    def step(total: ModuleVector, u, key) -> ModuleVector:
+        try:
+            value = values[key]
+        except KeyError:
+            value = value_at(key)
+        if value is None:
+            return total
+        return _scalar_sum(total, value) if scalar else total + value.act(wrap(u))
+
+    def telescoped(g) -> ModuleVector:
+        raw = unwrap(g)
         if not raw:
             return origin
         memo = result.iota._memo
-        k, letter = last_block(spec, raw)
+        k, key = split(raw, len(raw))
         p = raw[:k]  # normal forms all the way down; no prefix element is built
-        below = []  # (v, u, e): the route's edge e from u into v, for v under raw
+        below = []  # (v, u, e): the route's edge from u into v, keyed e, for v under raw
         v, total = p, None
         while v and (total := memo.get(v)) is None:
-            k, e = last_block(spec, v)
-            u = v[:k]
+            j, e = split(v, k)  # k == len(v)
+            u = v[:j]
             below.append((v, u, e))
-            v = u
+            v, k = u, j
         total = origin if total is None else total  # None: the walk reached 1
         for v, u, e in reversed(below):
             total = memo[v] = step(total, u, e)
-        return step(total, p, letter)
+        return step(total, p, key)
 
-    return (telescoped if telescopes else separated), module
+    return telescoped
 
 
 def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
@@ -268,33 +297,32 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         }
         total_cert += 54 * kval + 66 * q.certified_defect.value
 
-    evaluate, module = _combed_evaluator(spec, cocycles, c, budget)
-    unwrap = spec.group.unwrap
-    all_exact = all(q.exact_cocycle for q in cocycles.values())
-    iota = QuasiCocycle(
-        name,
-        spec.group,
-        module,
-        lambda g: evaluate(result, unwrap(g)),
-        antisymmetric=all(q.antisymmetric for q in cocycles.values()),
-        homogeneous=False,
-        # On free products the combing follows the syllable normal form, so
-        # the extension telescopes and exact inputs stay exact.
-        exact_cocycle=spec.family == "free_product" and all_exact,
-        certified_defect=CertifiedBound(
-            total_cert,
-            "extension-certificate",
-            "sum over subgroups of 54*K + 66*D",
-        ),
+    certificate = CertifiedBound(
+        total_cert,
+        "extension-certificate",
+        "sum over subgroups of 54*K + 66*D",
     )
     result = ExtensionResult(
         spec=spec,
         inputs=dict(cocycles),
         c_value=c,
-        iota=iota,
-        certificate=iota.certified_defect,
+        iota=None,  # bound below: iota's function reads the result
+        certificate=certificate,
         per_lambda=per_lambda,
         _reasons=reasons,
+    )
+    all_exact = all(q.exact_cocycle for q in cocycles.values())
+    result.iota = QuasiCocycle(
+        name,
+        spec.group,
+        mods[0],
+        _combed_evaluator(result, budget),
+        antisymmetric=all(q.antisymmetric for q in cocycles.values()),
+        homogeneous=False,
+        # On free products the combing follows the syllable normal form, so
+        # the extension telescopes and exact inputs stay exact.
+        exact_cocycle=spec.family == "free_product" and all_exact,
+        certified_defect=certificate,
     )
     return result
 

@@ -38,10 +38,11 @@ block by block: on free products a block is a syllable, on a basis w a
 maximal run of the basis letter or one other letter.  Dropping the last
 block leaves a prefix p whose blocks are the first blocks of g, so the
 route from 1 to g is the route from 1 to p followed by one edge (p, g),
-labelled by the last block's letter.  `last_block` reads that split off
-the normal form of g with one backward scan; `_basis_route` reads its blocks
-with the same rule (`_block_start`, `_block_letter`).  The extension
-telescopes along it.
+labelled by the last block's letter.  `block_split` is the one rule that
+reads a block off a normal form, with one backward scan, bound to the
+spec's family once: `last_block` reads g's last block with it, and
+`_basis_route` reads every block.  The extension telescopes along it, one
+split per prefix.
 Edge letters are built once per spec on both closed-form families
 (`syllable_letter` on free products, `ambient_letters` and `power_letter`
 on a basis w), so equal blocks share one letter and its element.
@@ -169,18 +170,60 @@ def distance(spec, f, g, budget: SearchBudget | None = None) -> int:
     return geodesic_routes(spec, f, g, budget=budget).distance
 
 
+def block_split(spec) -> tuple:
+    """The one block split of closed-form routes, bound to the spec's family
+    once, as (split, letter).
+
+    split(raw, j) reads the last block of the nonempty normal form raw[:j]
+    as (i, key): raw[:i] is the normal form of the route's last edge's first
+    vertex, and key, which hashes in C, names the block.  On free products a
+    block is the last syllable, and its key is that syllable.  On a basis w
+    it is a maximal run of the basis letter (all one sign, as raw is
+    reduced) or one other letter; its key is c + 2n(m - 1) for a run of m
+    letters of code c over n generators, so a single letter's key is its
+    ambient code.  letter(key) is the block's edge letter: the subgroup
+    letter of a syllable; on a basis w the ambient letter of a single letter
+    (for the basis letter, it stands for the run of exponent +-1), else the
+    subgroup letter of the run, w^m or w^-m whatever the sign of w.  A
+    generic w has no closed-form route: DomainError."""
+    if spec.family == "free_product":
+        def split(raw, j):
+            return j - 1, raw[j - 1]
+
+        return split, spec.syllable_letter
+    if not spec.is_basis:
+        raise DomainError("only closed-form routes split into blocks")
+    wcode = spec.w.codes[0]
+    wgen = wcode >> 1
+    ncodes = 2 * len(spec.group.gens)
+    ambient, power_letter = spec.ambient_letters, spec.power_letter
+
+    def split(cs, j):
+        i = j - 1
+        c = cs[i]
+        if c >> 1 == wgen:
+            while i and cs[i - 1] == c:
+                i -= 1
+        return i, c + ncodes * (j - 1 - i)
+
+    def letter(key):
+        m, c = divmod(key, ncodes)
+        if not m:
+            return ambient[c]
+        return power_letter(m + 1 if c == wcode else -m - 1)
+
+    return split, letter
+
+
 def last_block(spec, raw) -> tuple:
     """The last edge of the closed-form route from 1 to the element with
     nonempty normal form `raw`, as (k, letter): raw[:k] is the normal form
     of the edge's first vertex, and the letter labels the last syllable on
-    free products or the last block on a basis w (as in `_basis_route`).
-    A generic w has no closed-form route: DomainError."""
-    if spec.family == "free_product":
-        return len(raw) - 1, spec.syllable_letter(raw[-1])
-    if not spec.is_basis:
-        raise DomainError("only closed-form routes split into blocks")
-    i = _block_start(raw, len(raw), spec.w.codes[0] >> 1)
-    return i, _block_letter(spec, raw, i, len(raw))
+    free products or the last block on a basis w (`block_split`).  A
+    generic w has no closed-form route: DomainError."""
+    split, letter = block_split(spec)
+    k, key = split(raw, len(raw))
+    return k, letter(key)
 
 
 def _free_product_geodesics(spec, f, u) -> GeodesicSet:
@@ -188,27 +231,6 @@ def _free_product_geodesics(spec, f, u) -> GeodesicSet:
     # Syllable normal form is the unique geodesic spelling: every edge moves
     # within one factor, and merging or splitting syllables only lengthens.
     return GeodesicSet(len(letters), (CayleyPath(f, letters),), True)
-
-
-def _block_start(cs, j: int, wgen: int) -> int:
-    """Start of the block of the reduced codes cs that ends at j: a maximal
-    run of the basis generator wgen (all one sign, as cs is reduced), or one
-    other letter."""
-    i = j - 1
-    if cs[i] >> 1 == wgen:
-        while i > 0 and cs[i - 1] == cs[i]:
-            i -= 1
-    return i
-
-
-def _block_letter(spec, cs, i: int, j: int):
-    """The edge letter of the block cs[i:j]: the ambient letter of a single
-    letter (for the basis letter, it stands for the run of exponent +-1),
-    else the subgroup letter of the run, w^(j - i) or w^(i - j) whatever the
-    sign of w."""
-    if j - i == 1:
-        return spec.ambient_letters[cs[i]]
-    return spec.power_letter(j - i if cs[i] == spec.w.codes[0] else i - j)
 
 
 def _basis_route(spec, f, u) -> tuple[tuple, tuple]:
@@ -223,20 +245,19 @@ def _basis_route(spec, f, u) -> tuple[tuple, tuple]:
     cut = 0
     while cut < len(cs) and cut < n and fc[n - 1 - cut] == cs[cut] ^ 1:
         cut += 1
-    wgen = spec.w.codes[0] >> 1
-    ends = []
+    split, letter = block_split(spec)
+    blocks = []  # (end, key), last block first
     j = len(cs)
     while j:
-        ends.append(j)
-        j = _block_start(cs, j, wgen)
+        i, key = split(cs, j)
+        blocks.append((j, key))
+        j = i
     letters = []
     verts = [f]
-    i = 0
-    for j in reversed(ends):
-        letters.append(_block_letter(spec, cs, i, j))
+    for j, key in reversed(blocks):
+        letters.append(letter(key))
         m = min(j, cut)
         verts.append(FreeWord(group, fc[: n - m] + cs[m:j]))
-        i = j
     return tuple(letters), tuple(verts)
 
 
@@ -413,7 +434,7 @@ def ball_domain(spec, radius: int) -> list:
 def _block_counts(group: FreeGroup, radius: int, wgen: int) -> dict:
     """{word: block count} over the ball, in `free_ball_words` order.  A
     letter opens a block unless it repeats the last letter and that is the
-    basis generator wgen (`_block_start`'s rule, read forward); wgen = -1
+    basis generator wgen (`block_split`'s rule, read forward); wgen = -1
     counts letters.
 
     The ball is built one layer at a time: the layer's code tuples and its
@@ -474,21 +495,18 @@ def distance_map(spec, max_len: int, sweep_len: int | None = None,
 # -- coset visits and penetration -----------------------------------------------
 
 
-def coset_visits(spec, path: CayleyPath, lam: str, rep) -> list[tuple[int, int]]:
-    """Maximal vertex-index runs of the path inside the coset rep*H_lam."""
-    inside = [spec.coset_rep(v, lam) == rep for v in path.vertices()]
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(inside):
-        if inside[i]:
-            j = i
-            while j + 1 < len(inside) and inside[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
+def coset_visits(spec, path: CayleyPath, lam: str) -> dict:
+    """{rep: runs} over the cosets rep*H_lam that the path's vertices lie
+    in: each coset's maximal vertex-index runs, in path order, from one
+    `coset_rep` per vertex."""
+    visits: dict = {}
+    for i, v in enumerate(path.vertices()):
+        runs = visits.setdefault(spec.coset_rep(v, lam), [])
+        if runs and runs[-1][1] == i - 1:
+            runs[-1] = (runs[-1][0], i)
         else:
-            i += 1
-    return runs
+            runs.append((i, i))
+    return visits
 
 
 def penetration(spec, path: CayleyPath, lam: str, rep, geodesic: bool = True):
@@ -500,7 +518,13 @@ def penetration(spec, path: CayleyPath, lam: str, rep, geodesic: bool = True):
     visit is a single run of at most two vertices (a longer or repeated
     visit admits a one-edge shortcut), enforced via NotGeodesicError.
     """
-    runs = coset_visits(spec, path, lam, rep)
+    return entrance_exit(path, coset_visits(spec, path, lam).get(rep, ()), geodesic)
+
+
+def entrance_exit(path: CayleyPath, runs, geodesic: bool = True):
+    """`penetration` of the path in one coset, from the path's runs in it
+    (`coset_visits`): a caller asking about several cosets of one label
+    reads every coset's runs from one pass."""
     if geodesic:
         if len(runs) > 1 or any(j - i > 1 for i, j in runs):
             raise NotGeodesicError(

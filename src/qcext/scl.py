@@ -60,9 +60,9 @@ class SclBound:
     def to_json(self) -> dict:
         out: dict = {"g": str(self.g)}
         if self.lower is not None:
-            out["lower"] = {"value": str(self.lower), "witness": self.lower_witness}
+            out["lower"] = tag(self.lower, "certified-lower-bound", witness=self.lower_witness)
         if self.upper is not None:
-            out["upper"] = {"value": str(self.upper), "witness": self.upper_witness}
+            out["upper"] = tag(self.upper, "certified-upper-bound", witness=self.upper_witness)
         return out
 
 

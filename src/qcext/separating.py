@@ -43,7 +43,14 @@ from .errors import (
     NotSeparatingError,
     PartitionNotFoundError,
 )
-from .geodesics import CayleyPath, GeodesicSet, _routes, geodesic_routes, penetration
+from .geodesics import (
+    CayleyPath,
+    GeodesicSet,
+    _routes,
+    coset_visits,
+    entrance_exit,
+    geodesic_routes,
+)
 from .groups import _left_quotient, _slot_init, as_fraction
 
 
@@ -296,9 +303,10 @@ def triangle_partition(
         return TrianglePartition(front=s_fg.cosets, from_fh=(), from_hg=(), pivot=-1)
     geo_fh = geodesic_routes(spec, f, h, budget=budget)
     side = geo_fh.geodesics[0] if geo_fh.geodesics else CayleyPath(f)
+    visits = coset_visits(spec, side, lam)  # the side's cosets, in one pass
     pivot = -1
     for j, coset in enumerate(s_fg.cosets):
-        if penetration(spec, side, lam, coset.rep, geodesic=False) is not None:
+        if entrance_exit(side, visits.get(coset.rep, ()), geodesic=False) is not None:
             pivot = j
     # pieces: indices < pivot from the f-h side, > pivot+1 from the h-g side;
     # the front is [0] or [pivot, pivot + 1], so at most two cosets

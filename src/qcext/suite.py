@@ -19,7 +19,7 @@ from .coeffs import zero
 from .embedding import seeded_rng
 from .errors import PartitionNotFoundError
 from .extension import averaged_value, combed_value, elementary_bicombing, extend
-from .geodesics import ball_domain, geodesic_routes, penetration
+from .geodesics import ball_domain, coset_visits, entrance_exit, geodesic_routes
 from .qc import coboundary1
 from .separating import _resolve_c, separation_report, triangle_partition
 
@@ -162,10 +162,14 @@ def run_full_suite(
     def penetration_checks(f, g, geo, rep_fg):
         for lam in lams:
             sep = rep_fg[lam]
+            if not sep.cosets:
+                continue
+            # each path's coset representatives, once for all of lam's cosets
+            visits = [coset_visits(spec, path, lam) for path in geo.geodesics]
             for i, coset in enumerate(sep.cosets):
                 pairs = sep.entrance_exits[i]
-                for path in geo.geodesics:
-                    pen = penetration(spec, path, lam, coset.rep)
+                for path, seen in zip(geo.geodesics, visits):
+                    pen = entrance_exit(path, seen.get(coset.rep, ()))
                     results["penetration-consistency"].record(
                         pen is not None and pen in pairs,
                         lambda: f"geodesic misses {coset} for ({f},{g})",

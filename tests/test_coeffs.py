@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcext import FreeGroup, IndexedLp, TrivialReals, delta, real_value, zero
-from qcext.coeffs import ModuleVector, sum_vectors
+from qcext.coeffs import ModuleVector, _scalar_sum, sum_vectors
 from qcext.errors import MixedContextError
 from qcext.geodesics import free_ball_words
 
@@ -65,6 +65,24 @@ def test_zero_operand_shares_the_other_vector():
         assert z + v is v
         assert v - z is v
         assert z - v == -v
+
+
+def test_scalar_sum():
+    half, third = real_value(Fraction(1, 2)), real_value(Fraction(1, 3))
+    cases = [
+        (half, third, {(): Fraction(5, 6)}),
+        (half, half, {(): Fraction(1)}),
+        (real_value(3), real_value(-3), {}),
+        (real_value(Fraction(1, 4)), real_value(Fraction(1, 4)), {(): Fraction(1, 2)}),
+        (real_value(Fraction(-7, 2)), real_value(2), {(): Fraction(-3, 2)}),
+    ]
+    for a, b, coeffs in cases:
+        got = _scalar_sum(a, b)
+        assert got.coeffs == coeffs and got == a + b
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
+    z = zero(TrivialReals())
+    assert _scalar_sum(half, z) is half
+    assert _scalar_sum(z, half) is half
 
 
 def _random_vector(rng, module, indices):

@@ -366,6 +366,39 @@ def test_fresh_iota_matches_report_reference():
         assert bool(bands) == (c >= Fraction(1, 3)), name
 
 
+class _CountingInput(QuasiCocycle):
+    """An input that counts its calls by normal form."""
+
+    def __init__(self, q):
+        super().__init__(q.name, q.group, q.module, q._fn,
+                         antisymmetric=q.antisymmetric, homogeneous=q.homogeneous,
+                         exact_cocycle=q.exact_cocycle, certified_defect=q.certified_defect)
+        self.calls = {}
+
+    def __call__(self, g):
+        key = g.group.unwrap(g)
+        self.calls[key] = self.calls.get(key, 0) + 1
+        return super().__call__(g)
+
+
+def test_fresh_iota_reads_each_blocks_input_value_once():
+    # the step table: over a whole ball evaluated fresh, longest words first,
+    # each input is asked at most once per distinct block (one element each);
+    # C >= 1/3 on a basis w separates afresh, so it has no step table
+    for name, spec, radius, c, inputs in _telescoping_cases():
+        if 3 * c >= 1:
+            continue
+        counting = {lam: _CountingInput(q) for lam, q in inputs.items()}
+        res = extend(spec, counting, c_value=c)
+        for q in counting.values():
+            q.calls.clear()  # extend's own spot checks and K are not steps
+        for g in reversed(ball_domain(spec, radius)):
+            assert res.iota(g) == _reference(spec, inputs, c, g)[0], (name, str(g))
+        for lam, q in counting.items():
+            assert q.calls, (name, lam)
+            assert max(q.calls.values()) == 1, (name, lam)
+
+
 def test_telescoping_depends_only_on_family_and_c(monkeypatch):
     calls = []
     report = extension_module.separation_report
@@ -461,12 +494,18 @@ def test_equal_groups_share_memo_entries_unequal_groups_raise():
 
 def test_fresh_word_walks_its_route_once(monkeypatch):
     calls = []
+    block_split = geodesics_module.block_split
 
-    def counted(spec, raw):
-        calls.append(raw)
-        return last_block(spec, raw)
+    def counted(spec):
+        split, letter = block_split(spec)
 
-    monkeypatch.setattr(extension_module, "last_block", counted)
+        def counted_split(raw, j):
+            calls.append(raw[:j])
+            return split(raw, j)
+
+        return counted_split, letter
+
+    monkeypatch.setattr(extension_module, "block_split", counted)
     res = extend(REL_X, {"C": half_sign(REL_X)})
     g = F2.parse("x y") ** 50  # 100 blocks
     assert not res.iota._memo

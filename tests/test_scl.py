@@ -47,6 +47,8 @@ def test_scl_bound_ordering_enforced():
     b = SclBound(g=commutator(X, Y), lower=Fraction(1, 12), upper=Fraction(1))
     js = b.to_json()
     assert js["lower"]["value"] == "1/12" and js["upper"]["value"] == "1"
+    assert js["lower"]["provenance"] == "certified-lower-bound"
+    assert js["upper"]["provenance"] == "certified-upper-bound"
 
 
 def test_cl_upper_verifies_expression():
