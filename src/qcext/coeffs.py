@@ -22,8 +22,10 @@ unary -, scale and act) returns an operand (v + 0, v - 0, 0 + v) or builds
 its result through the module-private _trusted constructor, which skips
 those checks: the indices are the operands' own (act translates them
 injectively) and every stored coefficient is a nonzero Fraction.
-`_scalar_sum`, beside it, is the same + for TrivialReals vectors on a known
-module, exact integer arithmetic on the one coefficient where it can be.
+`_scalar_sum`, beside it, is the same + for TrivialReals vectors as an
+int-keyed probe: a table (`scalar_table`) maps each exact value, keyed by
+numerator and denominator, to the one vector of that value on the table's
+module, so repeated sums share one vector per value and build no Fraction.
 """
 
 from __future__ import annotations
@@ -206,23 +208,47 @@ def _trusted(module, coeffs: dict) -> ModuleVector:
     return vec
 
 
-def _scalar_sum(u: ModuleVector, v: ModuleVector) -> ModuleVector:
-    """u + v for two vectors of one TrivialReals module, without the module
-    check: a zero operand returns the other (v + 0 is v, 0 + v is v), equal
-    denominators add numerators, and other sums fall back to Fraction's +."""
+def scalar_table(module: TrivialReals) -> dict:
+    """A new table for `_scalar_sum` and `_interned` on one TrivialReals
+    module: exact value (numerator, denominator) -> the one vector of that
+    value on `module`.  It starts with 0 -> module's zero."""
+    return {(0, 1): _trusted(module, {})}
+
+
+def _interned(table: dict, key: tuple) -> ModuleVector:
+    """The table's one vector of value n/d for key (n, d), d > 0.  A key
+    seen before costs one probe; a new one is reduced once, and a vector is
+    built once per exact value and shared by every key of that value."""
+    vec = table.get(key)
+    if vec is None:
+        c = Fraction(*key)
+        reduced = c.numerator, c.denominator
+        vec = table.get(reduced)
+        if vec is None:
+            vec = table[reduced] = _trusted(table[0, 1].module, {(): c})
+        table[key] = vec
+    return vec
+
+
+def _scalar_sum(u: ModuleVector, v: ModuleVector, table: dict) -> ModuleVector:
+    """u + v for two TrivialReals vectors, without the module check, as a
+    probe of `table` (`scalar_table`) keyed by the exact sum in int
+    arithmetic: equal denominators add numerators, others cross-multiply,
+    and no Fraction is built unless the key is new.  A zero operand returns
+    the other (v + 0 is v, 0 + v is v); any other sum is the table's vector,
+    so it carries the table's module, and a sum that cancels is its zero."""
     if not v.coeffs:
         return u
     if not u.coeffs:
         return v
     a, b = u.coeffs[()], v.coeffs[()]
-    d = a.denominator
-    if d == b.denominator:
-        n = a.numerator + b.numerator
-        if not n:
-            return _trusted(u.module, {})
-        return _trusted(u.module, {(): Fraction(n) if d == 1 else Fraction(n, d)})
-    # a + b != 0 here: a = -b would share a's denominator
-    return _trusted(u.module, {(): a + b})
+    d, e = a.denominator, b.denominator
+    key = ((a.numerator + b.numerator, d) if d == e
+           else (a.numerator * e + b.numerator * d, d * e))
+    try:
+        return table[key]
+    except KeyError:
+        return _interned(table, key)
 
 
 def zero(module) -> ModuleVector:

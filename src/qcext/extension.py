@@ -30,20 +30,28 @@ values, iota(g) = iota(p) + q_lam(h).act(p) when l.lam is an input label,
 and iota(g) = iota(p) otherwise.  iota's function is the evaluator: it
 unwraps g once to its normal form, which keys iota's memo, walks down it
 once to the deepest prefix slice in the memo (or to 1), one probe and one
-block split per slice (`geodesics.block_split`, bound to the family once
-per extension), then sums upward once and writes each slice's value into
-the memo without re-entering iota.
+block split per slice (`geodesics.block_split`, bound once per spec), then
+sums upward once and writes each slice's value into the memo without
+re-entering iota.
 
 A step reads q_lam(h) from the extension's step table: a block's key (its
 syllable on free products, its code and run length on a basis w) maps to
 the input's value at the block's letter, or to None when the letter's label
 has no input.  The table fills on first use, so each input is asked once
 per distinct block, and a letter is built only then.  Over TrivialReals the
-action is trivial and a step adds one exact scalar (`coeffs._scalar_sum`);
-a zero step shares its vector (v + 0 is v), and only an indexed module's
-act gets the prefix built as an element.  The writes skip iota's module
-check at no cost: every term is a value of an input q, each input checks
-its own module, and all inputs share one.
+action is trivial and a step is an int-keyed probe (`coeffs._scalar_sum`):
+the exact sum, as numerator and denominator, keys the extension's table of
+one vector per exact value on iota's own module, and the step table holds
+each input value as its vector there.  So iota's memo values are shared
+per exact value, each on iota's module, and a zero step shares its vector
+(v + 0 is v).  Only an indexed module's act gets the prefix built as an
+element.  The writes skip iota's module check at no cost: every term is a
+value of an input q, each input checks its own module, and all inputs
+share one.
+
+iota's function holds the spec, the inputs, the trail's lists and a weak
+reference to iota (it reads iota's memo through it once per fresh call),
+never the result, so a dropped extension is freed by reference counting.
 
 A generic w separates (1, g) afresh, and so does a basis w with 3C >= 1:
 there the trivial clause separates x at width 1 while the block x of y x is
@@ -60,7 +68,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import ModuleVector, TrivialReals, _scalar_sum, sum_vectors, zero
+from .coeffs import (
+    ModuleVector,
+    TrivialReals,
+    _interned,
+    _scalar_sum,
+    scalar_table,
+    sum_vectors,
+    zero,
+)
 from .embedding import FreeRelCyclicSpec, seeded_rng
 from .errors import CertificateError, DomainError, MixedContextError
 from .geodesics import block_split
@@ -196,45 +212,59 @@ def _combed_evaluator(result: ExtensionResult, budget):
     On free products, and on a basis w with 3C < 1, it telescopes along the
     route (the module docstring): one walk down the normal form, then one
     sum up that memoizes every prefix, so no word recurses.  Otherwise it
-    separates (1, g) and writes the report's notes straight into `result`."""
+    separates (1, g) and writes the report's notes straight into `result`'s
+    trail.  It never holds `result` (the module docstring)."""
+    from weakref import ref
+
     spec, cocycles, c_value = result.spec, result.inputs, result.c_value
-    module = next(iter(cocycles.values())).module
+    reasons, bands = result._reasons, result._bands
+    module = result.iota.module
     identity = spec.identity()
     unwrap, wrap = spec.group.unwrap, spec.group.wrap
-    origin = zero(module)
     lams = tuple(sorted(cocycles))
 
-    def separated(g) -> ModuleVector:
-        raw = unwrap(g)
-        if not raw:
-            return origin
-        g = wrap(raw)
-        report = separation_report(spec, identity, g, c_value=c_value, budget=budget,
-                                   lams=lams)
-        total = origin
-        for lam in lams:
-            sep = report[lam]
-            if not sep.exhaustive:
-                result._reasons.append(f"geodesic enumeration for {g} not exhaustive")
-            if sep.conditional:
-                result._reasons.append(f"essentiality for {g} used upper-bound distances")
-            result._bands.extend(sep.band_excluded)
-            total = total + combed_value(cocycles[lam], sep)
-        return total
-
     if not (spec.family == "free_product" or (spec.is_basis and 3 * c_value < 1)):
+        origin = zero(module)
+
+        def separated(g) -> ModuleVector:
+            raw = unwrap(g)
+            if not raw:
+                return origin
+            g = wrap(raw)
+            report = separation_report(spec, identity, g, c_value=c_value, budget=budget,
+                                       lams=lams)
+            total = origin
+            for lam in lams:
+                sep = report[lam]
+                if not sep.exhaustive:
+                    reasons.append(f"geodesic enumeration for {g} not exhaustive")
+                if sep.conditional:
+                    reasons.append(f"essentiality for {g} used upper-bound distances")
+                bands.extend(sep.band_excluded)
+                total = total + combed_value(cocycles[lam], sep)
+            return total
+
         return separated
 
+    iota = ref(result.iota)
     split, letter_of = block_split(spec)
     values: dict = {}  # block key -> the input's value at its letter, or None
+    # Over TrivialReals the action is trivial, so the prefix is never built:
+    # a step is a probe of `sums`, which holds one vector per exact value on
+    # iota's module, and the step table holds each value as its vector there.
+    scalar = isinstance(module, TrivialReals)
+    sums = scalar_table(module) if scalar else None
+    origin = sums[0, 1] if scalar else zero(module)
 
     def value_at(key):
         letter = letter_of(key)
         q = cocycles.get(letter.lam)
-        value = values[key] = None if q is None else q(letter.elem)
+        value = None if q is None else q(letter.elem)
+        if scalar and value is not None:
+            c = value.scalar()
+            value = _interned(sums, (c.numerator, c.denominator))
+        values[key] = value
         return value
-
-    scalar = isinstance(module, TrivialReals)  # the trivial action ignores the prefix
 
     def step(total: ModuleVector, u, key) -> ModuleVector:
         try:
@@ -243,13 +273,13 @@ def _combed_evaluator(result: ExtensionResult, budget):
             value = value_at(key)
         if value is None:
             return total
-        return _scalar_sum(total, value) if scalar else total + value.act(wrap(u))
+        return _scalar_sum(total, value, sums) if scalar else total + value.act(wrap(u))
 
     def telescoped(g) -> ModuleVector:
         raw = unwrap(g)
         if not raw:
             return origin
-        memo = result.iota._memo
+        memo = iota()._memo
         k, key = split(raw, len(raw))
         p = raw[:k]  # normal forms all the way down; no prefix element is built
         below = []  # (v, u, e): the route's edge from u into v, keyed e, for v under raw
@@ -306,7 +336,7 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         spec=spec,
         inputs=dict(cocycles),
         c_value=c,
-        iota=None,  # bound below: iota's function reads the result
+        iota=None,  # bound below
         certificate=certificate,
         per_lambda=per_lambda,
         _reasons=reasons,
@@ -316,7 +346,7 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         name,
         spec.group,
         mods[0],
-        _combed_evaluator(result, budget),
+        None,  # bound below: iota's function reads iota
         antisymmetric=all(q.antisymmetric for q in cocycles.values()),
         homogeneous=False,
         # On free products the combing follows the syllable normal form, so
@@ -324,6 +354,7 @@ def _extend_raw(spec, cocycles: dict, c_value=None, budget=None,
         exact_cocycle=spec.family == "free_product" and all_exact,
         certified_defect=certificate,
     )
+    result.iota._fn = _combed_evaluator(result, budget)
     return result
 
 

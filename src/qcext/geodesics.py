@@ -40,7 +40,7 @@ block leaves a prefix p whose blocks are the first blocks of g, so the
 route from 1 to g is the route from 1 to p followed by one edge (p, g),
 labelled by the last block's letter.  `block_split` is the one rule that
 reads a block off a normal form, with one backward scan, bound to the
-spec's family once: `last_block` reads g's last block with it, and
+spec once and kept on it: `last_block` reads g's last block with it, and
 `_basis_route` reads every block.  The extension telescopes along it, one
 split per prefix.
 Edge letters are built once per spec on both closed-form families
@@ -184,8 +184,19 @@ def block_split(spec) -> tuple:
     ambient code.  letter(key) is the block's edge letter: the subgroup
     letter of a syllable; on a basis w the ambient letter of a single letter
     (for the basis letter, it stands for the run of exponent +-1), else the
-    subgroup letter of the run, w^m or w^-m whatever the sign of w.  A
-    generic w has no closed-form route: DomainError."""
+    subgroup letter of the run, w^m or w^-m whatever the sign of w.  The
+    pair is bound on first use and kept on the spec, so every route and
+    every extension of one spec reads the same pair.  A generic w has no
+    closed-form route: DomainError."""
+    try:
+        return spec._block_split
+    except AttributeError:
+        pass
+    spec._block_split = pair = _bind_block_split(spec)
+    return pair
+
+
+def _bind_block_split(spec) -> tuple:
     if spec.family == "free_product":
         def split(raw, j):
             return j - 1, raw[j - 1]

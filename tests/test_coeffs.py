@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcext import FreeGroup, IndexedLp, TrivialReals, delta, real_value, zero
-from qcext.coeffs import ModuleVector, _scalar_sum, sum_vectors
+from qcext.coeffs import ModuleVector, _scalar_sum, scalar_table, sum_vectors
 from qcext.errors import MixedContextError
 from qcext.geodesics import free_ball_words
 
@@ -68,6 +68,8 @@ def test_zero_operand_shares_the_other_vector():
 
 
 def test_scalar_sum():
+    module = TrivialReals()
+    table = scalar_table(module)
     half, third = real_value(Fraction(1, 2)), real_value(Fraction(1, 3))
     cases = [
         (half, third, {(): Fraction(5, 6)}),
@@ -77,12 +79,29 @@ def test_scalar_sum():
         (real_value(Fraction(-7, 2)), real_value(2), {(): Fraction(-3, 2)}),
     ]
     for a, b, coeffs in cases:
-        got = _scalar_sum(a, b)
+        got = _scalar_sum(a, b, table)
         assert got.coeffs == coeffs and got == a + b
         assert all(type(c) is Fraction and c for c in got.coeffs.values())
+        # the operands' modules are equal to the table's but distinct objects
+        assert got.module is module and a.module is not module
+        assert _scalar_sum(a, b, table) is got  # a repeated sum is one object
     z = zero(TrivialReals())
-    assert _scalar_sum(half, z) is half
-    assert _scalar_sum(z, half) is half
+    assert _scalar_sum(half, z, table) is half
+    assert _scalar_sum(z, half, table) is half
+    # normalized, also where the int key is not in lowest terms (6/4)
+    one = real_value(1, module)
+    for a, b, want in ((one, half, (3, 2)), (half, third, (5, 6)),
+                       (real_value(Fraction(5, 4)), real_value(Fraction(1, 4)), (3, 2))):
+        c = _scalar_sum(a, b, table).scalar()
+        assert (c.numerator, c.denominator) == want
+    # one vector per exact value: 5/4 + 1/4 keys 6/4, and 1 + 1/2 keys 3/2
+    assert _scalar_sum(real_value(Fraction(5, 4)), real_value(Fraction(1, 4)), table) \
+        is _scalar_sum(one, half, table)
+    # every sum that cancels is the table's one zero vector
+    zeros = {id(_scalar_sum(real_value(r), real_value(-r), table))
+             for r in (Fraction(3), Fraction(1, 2), Fraction(2, 3))}
+    assert zeros == {id(table[0, 1])} and table[0, 1].is_zero()
+    assert all(v.module is module for v in table.values())
 
 
 def _random_vector(rng, module, indices):

@@ -556,6 +556,56 @@ def test_one_block_extension_probes_its_parent_once():
         assert memo.probes == 1, spec
 
 
+def test_scalar_memo_shares_one_vector_per_exact_value():
+    # fresh over every product of a ball: each memo value is on iota's own
+    # module and equal values are one object, at most the distinct values
+    # (9 on rel <x>, 13 on fp-brooks); the values match the report reference
+    _, fp, _, _, brooks_hom = _telescoping_cases()[0]
+    for spec, inputs, radius, bound in ((REL_X, {"C": half_sign(REL_X)}, 4, 9),
+                                        (fp, brooks_hom, 3, 13)):
+        ball = ball_domain(spec, radius)
+        products = list(dict.fromkeys(f * g for f in ball for g in ball))
+        res = extend(spec, inputs)
+        for g in products:
+            assert res.iota(g) == _reference(spec, inputs, Fraction(0), g)[0], str(g)
+        memo = res.iota._memo
+        assert len(memo) == len(products)
+        assert all(v.module is res.iota.module for v in memo.values())
+        objects = {id(v) for v in memo.values()}
+        assert len(objects) == len(set(memo.values())) <= bound, spec
+
+
+def test_dropped_extension_is_freed_without_the_collector():
+    # iota's function holds no reference back to the result, so a dropped
+    # extension and its memo go by reference counting alone, on both the
+    # telescoped and the separated path; an iota kept alone keeps working
+    import gc
+    import weakref
+
+    _, fp, _, _, brooks_hom = _telescoping_cases()[0]
+    cases = [(REL_X, {"C": half_sign(REL_X)}, Fraction(0)),
+             (REL_X, {"C": half_sign(REL_X)}, Fraction(1, 3)),
+             (fp, brooks_hom, Fraction(0))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec, inputs, c in cases:
+            g = spec.parse("x y x^2 y^-1")
+            res = extend(spec, inputs, c_value=c)
+            want = res.iota(g)
+            refs = [weakref.ref(res), weakref.ref(res.iota)]
+            del res
+            assert [r() for r in refs] == [None, None], (spec, c)
+            iota = extend(spec, inputs, c_value=c).iota
+            assert iota(g) == want, (spec, c)
+            kept = weakref.ref(iota)
+            del iota
+            assert kept() is None, (spec, c)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_last_block_builds_each_syllable_letter_once():
     _, fp, _, _, _ = _telescoping_cases()[0]
     twin = FreeProductPairSpec(FreeProduct(list(fp.group.factors)), ["A", "B"])
